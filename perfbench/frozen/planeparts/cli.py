@@ -1,0 +1,229 @@
+"""Command-line front end.
+
+Subcommands: gf (product generating functions), count (brute-force
+counting oracles), asym (growth parameters and estimates), verify (the
+summation-identity battery), table (exact counts beside estimates).
+
+Coefficients are printed as decimal strings in json and csv output so
+that values beyond 2^53 survive the trip.  Exit codes: 0 on success,
+1 when a verification case fails, 2 on usage errors.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+
+from . import asymptotics, counting, schur, series
+from .profiles import (
+    multiset_w1,
+    multiset_w2,
+    multiset_w3,
+    multiset_w4,
+    multiset_w5,
+    parse_profile,
+)
+
+GF_FAMILIES = ("dspp", "cp", "scp", "pp", "shiftpp", "sympp")
+COUNT_FAMILIES = ("dspp", "cp", "scp")
+ASYM_FAMILIES = ("dspp", "scp")
+
+
+def _emit_vector(meta, values, fmt, out):
+    if fmt == "json":
+        payload = dict(meta)
+        payload["coefficients"] = [str(v) for v in values]
+        out.write(json.dumps(payload, sort_keys=True) + "\n")
+    elif fmt == "csv":
+        out.write("index,coefficient\n")
+        for n, v in enumerate(values):
+            out.write("%d,%s\n" % (n, v))
+    else:
+        out.write(",".join(str(v) for v in values) + "\n")
+
+
+def cmd_gf(args, out):
+    delta = parse_profile(args.profile)
+    family = args.family
+    if family == "dspp":
+        values = series.dspp_gf(delta, args.order).coeffs
+        multisets = (multiset_w1(delta), multiset_w2(delta))
+    elif family == "cp":
+        values = series.cp_gf(delta, args.order).coeffs
+        multisets = (multiset_w3(delta),)
+    elif family == "scp":
+        values = series.scp_gf(delta, args.order).coeffs
+        multisets = (multiset_w4(delta), multiset_w5(delta))
+    else:
+        values = series.classical_gf(family, args.order).coeffs
+        multisets = None
+    meta = {"command": "gf", "family": family, "order": args.order}
+    if multisets is not None:
+        meta["profile"] = delta.text
+        meta["multisets"] = [em.to_json() for em in multisets]
+    _emit_vector(meta, values, args.format, out)
+    return 0
+
+
+def cmd_count(args, out):
+    delta = parse_profile(args.profile)
+    family = args.family
+    if family == "dspp":
+        values = counting.count_dspp(delta, args.order).counts
+    elif family == "cp":
+        values = counting.count_cp(delta, args.order).counts
+    else:
+        values = counting.count_scp(delta, args.order).counts
+    meta = {"command": "count", "family": family, "profile": delta.text, "order": args.order}
+    _emit_vector(meta, values, args.format, out)
+    return 0
+
+
+def cmd_asym(args, out):
+    if args.m is not None:
+        if args.family != "dspp":
+            raise ValueError("--m selects the staircase profile and applies to dspp only")
+        if args.m < 2:
+            raise ValueError("--m must be >= 2")
+        delta = parse_profile("-" * (args.m - 1))
+    else:
+        delta = parse_profile(args.profile)
+    params = asymptotics.dspp_params(delta) if args.family == "dspp" else asymptotics.scp_params(delta)
+    payload = {
+        "command": "asym",
+        "family": args.family,
+        "profile": delta.text,
+        "params": {"v": params.v, "r": params.r, "b": params.b, "p": params.p},
+    }
+    if args.n:
+        payload["psi"] = {str(n): asymptotics.psi_eval(params, n) for n in args.n}
+        payload["estimates"] = {str(n): asymptotics.psi_table_value(params, n) for n in args.n}
+    out.write(json.dumps(payload, sort_keys=True) + "\n")
+    return 0
+
+
+def cmd_verify(args, out):
+    reports = schur.run_battery(
+        max_len=args.max_len, order=args.order, inject_fault=args.inject_fault
+    )
+    failures = 0
+    for report in reports:
+        out.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
+        if not report.passed:
+            failures += 1
+    out.write(
+        json.dumps({"command": "verify", "cases": len(reports), "failures": failures}, sort_keys=True)
+        + "\n"
+    )
+    return 1 if failures else 0
+
+
+TABLE_ROWS = (("dspp", "++"), ("scp", "--"))
+
+
+def cmd_table(args, out):
+    ns = args.n or [5, 10, 15, 20]
+    if any(n < 1 for n in ns):
+        raise ValueError("table entries need n >= 1")
+    order = max(ns)
+    rows = []
+    for family, profile_text in TABLE_ROWS:
+        delta = parse_profile(profile_text)
+        if family == "dspp":
+            gf = series.dspp_gf(delta, order)
+            params = asymptotics.dspp_params(delta)
+        else:
+            gf = series.scp_gf(delta, order)
+            params = asymptotics.scp_params(delta)
+        rows.append(
+            {
+                "family": family,
+                "profile": profile_text,
+                "n": list(ns),
+                "exact": [str(gf[n]) for n in ns],
+                "estimate": [asymptotics.psi_table_value(params, n) for n in ns],
+            }
+        )
+    if args.format == "json":
+        out.write(json.dumps({"command": "table", "rows": rows}, sort_keys=True) + "\n")
+    elif args.format == "csv":
+        out.write("family,profile,n,exact,estimate\n")
+        for row in rows:
+            for i, n in enumerate(row["n"]):
+                out.write(
+                    "%s,%s,%d,%s,%d\n"
+                    % (row["family"], row["profile"], n, row["exact"][i], row["estimate"][i])
+                )
+    else:
+        header = ["%-6s %-8s %-9s" % ("family", "profile", "")] + ["%10s" % ("n=%d" % n) for n in ns]
+        out.write("".join(header) + "\n")
+        for row in rows:
+            exact = ["%10s" % v for v in row["exact"]]
+            est = ["%10d" % v for v in row["estimate"]]
+            out.write("%-6s %-8s %-9s" % (row["family"], row["profile"], "exact") + "".join(exact) + "\n")
+            out.write("%-6s %-8s %-9s" % (row["family"], row["profile"], "estimate") + "".join(est) + "\n")
+    return 0
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="planeparts",
+        description="Exact enumeration, product expansions, identity checks and "
+        "asymptotics for staircase-region plane partition families.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p_gf = sub.add_parser("gf", help="expand a product generating function")
+    p_gf.add_argument("--family", required=True, choices=GF_FAMILIES)
+    p_gf.add_argument("--profile", default="", help="profile as a '+-' string (quoted '' = empty)")
+    p_gf.add_argument("--order", type=int, required=True)
+    p_gf.add_argument("--format", default="text", choices=("json", "csv", "text"))
+    p_gf.set_defaults(func=cmd_gf)
+
+    p_count = sub.add_parser("count", help="count objects by brute-force transfer")
+    p_count.add_argument("--family", required=True, choices=COUNT_FAMILIES)
+    p_count.add_argument("--profile", default="")
+    p_count.add_argument("--order", type=int, required=True)
+    p_count.add_argument("--format", default="text", choices=("json", "csv", "text"))
+    p_count.set_defaults(func=cmd_count)
+
+    p_asym = sub.add_parser("asym", help="growth parameters and estimates")
+    p_asym.add_argument("--family", required=True, choices=ASYM_FAMILIES)
+    p_asym.add_argument("--profile", default="")
+    p_asym.add_argument("--m", type=int, default=None, help="width m: use the staircase profile of length m-1")
+    p_asym.add_argument("--n", type=int, nargs="*", default=[])
+    p_asym.set_defaults(func=cmd_asym)
+
+    p_verify = sub.add_parser("verify", help="run the summation-identity battery")
+    p_verify.add_argument("--max-len", type=int, default=3, dest="max_len")
+    p_verify.add_argument("--order", type=int, default=8)
+    p_verify.add_argument("--inject-fault", type=int, default=None, help=argparse.SUPPRESS)
+    p_verify.set_defaults(func=cmd_verify)
+
+    p_table = sub.add_parser("table", help="exact counts beside growth estimates")
+    p_table.add_argument("--n", type=int, nargs="*", default=[])
+    p_table.add_argument("--format", default="text", choices=("json", "csv", "text"))
+    p_table.set_defaults(func=cmd_table)
+
+    return parser
+
+
+def main(argv=None):
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse silently drops a value that is exactly '--' (the
+    # end-of-options marker), which is also a valid profile; rewrite it
+    # to the equivalent comma form before parsing.
+    argv = ["--profile=-1,-1" if tok == "--profile=--" else tok for tok in argv]
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args, sys.stdout)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,190 @@
+"""Brute-force counting of the three families, straight from the definitions.
+
+These counters never touch the product formulas in series.py.  They walk
+sequences of partitions interlacing according to the profile, with a
+transfer dynamic program: the state is the current boundary partition and
+the value is the vector of accumulated weights, truncated at the target
+order.  Every transition weight is a nonnegative power of z, so states
+whose minimal accumulated degree exceeds the order are dropped, and a
+new state lam is only proposed while its own weight still fits.
+
+count_dspp_fillings is the one genuinely exponential oracle: it fills
+the staircase region cell by cell and exists to pin the diagonal-reading
+correspondence against the filling definition.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .partitions import (
+    horizontal_strip_predecessors,
+    horizontal_strip_successors,
+    is_horizontal_strip,
+    partitions_up_to,
+)
+from .profiles import Profile, region_cells
+
+FILLING_ORDER_BOUND = 8
+
+
+@dataclass(frozen=True)
+class CountVector:
+    """Counts c_0..c_N of objects of each size up to the order N."""
+
+    order: int
+    counts: tuple
+
+    def __post_init__(self):
+        counts = tuple(int(c) for c in self.counts)
+        if len(counts) != self.order + 1:
+            raise ValueError("need exactly %d counts" % (self.order + 1))
+        if any(c < 0 for c in counts):
+            raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "counts", counts)
+
+    def __getitem__(self, n):
+        return self.counts[n]
+
+
+def _min_degree(vec):
+    for d, c in enumerate(vec):
+        if c:
+            return d
+    return None
+
+
+def _shift_add(dst, src, shift, order):
+    for d, c in enumerate(src):
+        if c and d + shift <= order:
+            dst[d + shift] += c
+
+
+def _initial_distribution(order):
+    """lam^0 free, weighted z^{|lam^0|}."""
+    dist = {}
+    for lam in partitions_up_to(order):
+        vec = [0] * (order + 1)
+        vec[lam.size] = 1
+        dist[lam] = vec
+    return dist
+
+
+def _advance(dist, step, order, size_multiplier):
+    """One interlacing step; the new state lam carries weight z^{mult*|lam|}."""
+    ndist = {}
+    for mu, vec in dist.items():
+        mind = _min_degree(vec)
+        if mind is None:
+            continue
+        budget = order - mind
+        if step == 1:
+            candidates = horizontal_strip_successors(mu, mu.size + budget // size_multiplier)
+        else:
+            candidates = horizontal_strip_predecessors(mu)
+        for lam in candidates:
+            w = size_multiplier * lam.size
+            if mind + w > order:
+                continue
+            acc = ndist.get(lam)
+            if acc is None:
+                acc = [0] * (order + 1)
+                ndist[lam] = acc
+            _shift_add(acc, vec, w, order)
+    return ndist
+
+
+def _collect(dist, order, final_multiplier=0):
+    out = [0] * (order + 1)
+    for lam, vec in dist.items():
+        _shift_add(out, vec, final_multiplier * lam.size, order)
+    return out
+
+
+def count_dspp(delta, order):
+    """Number of interlacing sequences (lam^0..lam^h) per profile, by total size."""
+    delta = Profile(delta)
+    dist = _initial_distribution(order)
+    for step in delta:
+        dist = _advance(dist, step, order, 1)
+    return CountVector(order, _collect(dist, order))
+
+
+def count_cp(delta, order):
+    """Number of cylindric partitions by size: closed sequences lam^0 = lam^h,
+    sized without the last diagonal."""
+    delta = Profile(delta)
+    h = len(delta)
+    if h < 1:
+        raise ValueError("cylindric profiles need length >= 1")
+    out = [0] * (order + 1)
+    for beta in partitions_up_to(order):
+        vec = [0] * (order + 1)
+        vec[beta.size] = 1
+        dist = {beta: vec}
+        for step in delta[:-1]:
+            dist = _advance(dist, step, order, 1)
+        last = delta[-1]
+        for mu, v in dist.items():
+            closes = (
+                is_horizontal_strip(beta, mu) if last == 1 else is_horizontal_strip(mu, beta)
+            )
+            if closes:
+                _shift_add(out, v, 0, order)
+    return CountVector(order, out)
+
+
+def count_scp(delta, order):
+    """Number of symmetric cylindric partitions by size: half-sequences
+    interlacing per the profile, weighted z^{|lam^0| + 2 sum_{i>=1} |lam^i|}."""
+    delta = Profile(delta)
+    dist = _initial_distribution(order)
+    for step in delta:
+        dist = _advance(dist, step, order, 2)
+    return CountVector(order, _collect(dist, order))
+
+
+def count_dspp_fillings(delta, order, order_bound=FILLING_ORDER_BOUND, window=None):
+    """Count monotone fillings of the staircase region directly, by total size.
+
+    Exponential; refuses orders above order_bound.  The empty profile is
+    refused too: its region is a bare diagonal whose cells share no row
+    or column, so the filling definition puts no constraint between them
+    and the count is not finite.  The window defaults to order + h + 1,
+    which already contains every cell a nonzero value can reach; passing
+    a larger one must not change the counts.
+    """
+    delta = Profile(delta)
+    if order > order_bound:
+        raise ValueError(
+            "filling enumeration is exponential; order %d exceeds the bound %d"
+            % (order, order_bound)
+        )
+    if len(delta) == 0:
+        raise ValueError("filling enumeration needs a profile of length >= 1")
+
+    if window is None:
+        window = order + len(delta) + 1
+    cells = sorted(region_cells(delta, window))
+    counts = [0] * (order + 1)
+    values = {}
+
+    def rec(idx, total):
+        if idx == len(cells) or total == order:
+            counts[total] += 1
+            return
+        c, d = cells[idx]
+        cap = order - total
+        up = values.get((c - 1, d))
+        if up is not None:
+            cap = min(cap, up)
+        left = values.get((c, d - 1))
+        if left is not None:
+            cap = min(cap, left)
+        for v in range(cap + 1):
+            values[(c, d)] = v
+            rec(idx + 1, total + v)
+        del values[(c, d)]
+
+    rec(0, 0)
+    return CountVector(order, counts)

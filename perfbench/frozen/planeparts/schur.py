@@ -1,0 +1,641 @@
+"""Specialized skew Schur functions and numeric checks of the summation identities.
+
+Every identity here is checked after substituting each alphabet variable
+by a power of z with positive exponent, which turns both sides into
+univariate series that can be compared coefficient by coefficient up to
+a truncation order.  Checking several independent specializations of a
+polynomial identity is a far stronger test than any finite set of
+hand-computed coefficients, while staying exact.
+
+The left-hand sides are sums over tuples of partitions joined by skew
+Schur weights.  They are evaluated by a transfer dynamic program whose
+state is the current partition and whose value is the vector of
+accumulated z-weights.  A single substituted variable z^a turns a skew
+Schur factor into a horizontal-strip step of weight z^(a*|strip|); a
+multi-variable alphabet turns it into a full specialized skew Schur
+weight, computed by the branching rule (one strip per variable).  All
+substituted exponents are >= 1, so every transition weight has degree
+at least the size change, which bounds the reachable states and makes
+the truncated sums finite.
+
+The right-hand sides are products assembled from the two kernels
+
+    phi(X) = prod_i 1/(1-x_i) * prod_{i<j} 1/(1-x_i x_j)
+    psi(X, Y) = prod_{i,j} 1/(1-x_i y_j)
+
+via series.phi_series / series.psi_series style factors, entirely
+independent of the transfer code.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import product as iter_product
+
+from .partitions import (
+    EMPTY,
+    Partition,
+    contains,
+    horizontal_strip_predecessors,
+    horizontal_strip_successors,
+    partitions_up_to,
+    subpartitions,
+    superpartitions_up_to,
+)
+from .profiles import Profile, all_profiles
+from .series import TruncatedSeries, _apply_phi, _geometric
+
+
+def _normalize_alphabet(alpha):
+    exps = tuple(int(a) for a in alpha)
+    if any(a < 1 for a in exps):
+        raise ValueError("alphabet exponents must be >= 1")
+    return exps
+
+
+def _min_degree(vec):
+    for d, c in enumerate(vec):
+        if c:
+            return d
+    return None
+
+
+def _shift_add(dst, src, shift, order):
+    for d, c in enumerate(src):
+        if c and d + shift <= order:
+            dst[d + shift] += c
+
+
+def _conv_add(dst, a, b, order):
+    """dst += a * b, all truncated at order."""
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(0, order + 1 - i):
+                bj = b[j]
+                if bj:
+                    dst[i + j] += ai * bj
+
+
+@lru_cache(maxsize=None)
+def _strip_successors_within(nu, lam):
+    """All kappa with nu ≺ kappa and kappa contained in lam."""
+    if not contains(lam, nu):
+        return ()
+    n = len(nu)
+    out = []
+    row = [0] * (n + 1)
+
+    def rec(i):
+        if i == n:
+            base = row[:n]
+            out.append(Partition(base))
+            if n < len(lam):
+                top = lam[n] if n == 0 else min(lam[n], nu[n - 1])
+                for v in range(1, top + 1):
+                    out.append(Partition(base + [v]))
+            return
+        lo = nu[i]
+        hi = lam[i] if i == 0 else min(lam[i], nu[i - 1])
+        for v in range(lo, hi + 1):
+            row[i] = v
+            rec(i + 1)
+
+    rec(0)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _skew_coeffs(lam, mu, alphabet, order):
+    """Coefficient vector of s_{lam/mu} with variable t replaced by z^alphabet[t]."""
+    zero = (0,) * (order + 1)
+    if not contains(lam, mu):
+        return zero
+    cur = {mu: [1] + [0] * order}
+    for a in alphabet:
+        nxt = {}
+        for nu, vec in cur.items():
+            mind = _min_degree(vec)
+            if mind is None:
+                continue
+            for kap in _strip_successors_within(nu, lam):
+                shift = a * (kap.size - nu.size)
+                if mind + shift > order:
+                    continue
+                acc = nxt.get(kap)
+                if acc is None:
+                    acc = [0] * (order + 1)
+                    nxt[kap] = acc
+                _shift_add(acc, vec, shift, order)
+        cur = nxt
+    vec = cur.get(lam)
+    return zero if vec is None else tuple(vec)
+
+
+def skew_schur_z(lam, mu, alphabet, order):
+    """The skew Schur function s_{lam/mu} under x_t -> z^(a_t), truncated.
+
+    Computed by the branching rule: with a single variable, s_{lam/mu}(x)
+    is x^|lam/mu| when lam/mu is a horizontal strip and 0 otherwise, and
+    adding a variable sums over intermediate partitions.  Returns the
+    zero series when mu is not contained in lam.
+    """
+    lam = Partition(lam)
+    mu = Partition(mu)
+    alphabet = _normalize_alphabet(alphabet)
+    return TruncatedSeries(order, _skew_coeffs(lam, mu, alphabet, order))
+
+
+class IdentityReport:
+    """Outcome of one identity check: both sides and where they first differ."""
+
+    def __init__(self, name, params, order, lhs, rhs):
+        self.name = name
+        self.params = params
+        self.order = order
+        self.lhs = tuple(lhs)
+        self.rhs = tuple(rhs)
+
+    @property
+    def passed(self):
+        return self.lhs == self.rhs
+
+    @property
+    def first_mismatch(self):
+        for n in range(self.order + 1):
+            if self.lhs[n] != self.rhs[n]:
+                return n
+        return None
+
+    def to_json(self):
+        return {
+            "name": self.name,
+            "params": self.params,
+            "order": self.order,
+            "passed": self.passed,
+            "first_mismatch": self.first_mismatch,
+            "lhs": [str(c) for c in self.lhs],
+            "rhs": [str(c) for c in self.rhs],
+        }
+
+    def __repr__(self):
+        status = "pass" if self.passed else "FAIL@%s" % self.first_mismatch
+        return "IdentityReport(%s %s %s)" % (self.name, self.params, status)
+
+
+# ---------------------------------------------------------------------------
+# transfer steps
+
+
+def _transfer_down(dist, alphabet, order):
+    """New state mu ⊆ lam with weight s_{lam/mu}(alphabet)."""
+    if not alphabet:
+        return dist
+    ndist = {}
+    single = alphabet[0] if len(alphabet) == 1 else None
+    for lam, vec in dist.items():
+        mind = _min_degree(vec)
+        if mind is None:
+            continue
+        if single is not None:
+            for mu in horizontal_strip_predecessors(lam):
+                shift = single * (lam.size - mu.size)
+                if mind + shift > order:
+                    continue
+                acc = ndist.get(mu)
+                if acc is None:
+                    acc = [0] * (order + 1)
+                    ndist[mu] = acc
+                _shift_add(acc, vec, shift, order)
+        else:
+            for mu in subpartitions(lam):
+                w = _skew_coeffs(lam, mu, alphabet, order)
+                if _min_degree(w) is None:
+                    continue
+                acc = ndist.get(mu)
+                if acc is None:
+                    acc = [0] * (order + 1)
+                    ndist[mu] = acc
+                _conv_add(acc, vec, w, order)
+    return ndist
+
+
+def _transfer_up(dist, alphabet, order, size_cap):
+    """New state lam ⊇ mu with weight s_{lam/mu}(alphabet), |lam| <= size_cap."""
+    if not alphabet:
+        return dist
+    ndist = {}
+    single = alphabet[0] if len(alphabet) == 1 else None
+    for mu, vec in dist.items():
+        mind = _min_degree(vec)
+        if mind is None:
+            continue
+        budget = order - mind  # any size increase costs at least that many z's
+        cap = min(size_cap, mu.size + budget)
+        if single is not None:
+            for lam in horizontal_strip_successors(mu, cap):
+                shift = single * (lam.size - mu.size)
+                if mind + shift > order:
+                    continue
+                acc = ndist.get(lam)
+                if acc is None:
+                    acc = [0] * (order + 1)
+                    ndist[lam] = acc
+                _shift_add(acc, vec, shift, order)
+        else:
+            for lam in superpartitions_up_to(mu, cap):
+                w = _skew_coeffs(lam, mu, alphabet, order)
+                if _min_degree(w) is None:
+                    continue
+                acc = ndist.get(lam)
+                if acc is None:
+                    acc = [0] * (order + 1)
+                    ndist[lam] = acc
+                _conv_add(acc, vec, w, order)
+    return ndist
+
+
+def _zigzag(dist, x_alphas, y_alphas, order, size_cap):
+    for x_alpha, y_alpha in zip(x_alphas, y_alphas):
+        dist = _transfer_down(dist, x_alpha, order)
+        dist = _transfer_up(dist, y_alpha, order, size_cap)
+    return dist
+
+
+# ---------------------------------------------------------------------------
+# right-hand sides
+
+
+def _one(order):
+    c = [0] * (order + 1)
+    c[0] = 1
+    return c
+
+
+def _pair_kernel_coeffs(x_alphas, y_alphas, order):
+    """prod over 0 <= i < j of psi(Y^i, X^j) as a coefficient vector."""
+    c = _one(order)
+    h = len(x_alphas)
+    for i in range(h):
+        for j in range(i + 1, h):
+            for a in y_alphas[i]:
+                for b in x_alphas[j]:
+                    if a + b <= order:
+                        _geometric(c, a + b, order)
+    return c
+
+
+def _open_sum_coeffs(lam0, lamh, x_all, y_all, order):
+    """sum over gamma contained in both endpoints of s_{lam0/gamma}(X) s_{lamh/gamma}(Y)."""
+    inter = Partition(
+        min(lam0[i], lamh[i]) for i in range(min(len(lam0), len(lamh)))
+    )
+    out = [0] * (order + 1)
+    for gamma in subpartitions(inter):
+        a = _skew_coeffs(lam0, gamma, x_all, order)
+        b = _skew_coeffs(lamh, gamma, y_all, order)
+        _conv_add(out, a, b, order)
+    return out
+
+
+def _complete_rhs_coeffs(x_all, y_all, order):
+    """phi(X) * prod_{k>=1} phi(z^k (X+Y)) / (1-z^k)."""
+    c = _one(order)
+    _apply_phi(c, x_all, order)
+    merged = list(x_all) + list(y_all)
+    for k in range(1, order + 1):
+        _geometric(c, k, order)
+        _apply_phi(c, [k + a for a in merged], order)
+    return c
+
+
+def _cylindric_rhs_coeffs(x_all, y_all, order):
+    """prod_{k>=1} psi(z^k X, Y) / (1-z^k)."""
+    c = _one(order)
+    for k in range(1, order + 1):
+        _geometric(c, k, order)
+        for a in x_all:
+            for b in y_all:
+                if k + a + b <= order:
+                    _geometric(c, k + a + b, order)
+    return c
+
+
+# ---------------------------------------------------------------------------
+# the three summation formulas, in the two-alphabet-per-step form
+
+
+def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, order=8):
+    """Check the open/complete/cylindric summation formula for a chain of
+    down-steps (alphabets X^i) and up-steps (alphabets Y^i).
+
+    The left side sums over all partition chains
+    lam^0 ⊇ mu^0 ⊆ lam^1 ⊇ mu^1 ⊆ ... ⊆ lam^h weighted by
+    prod_i s_{lam^i/mu^i}(X^i) s_{lam^{i+1}/mu^i}(Y^i); 'complete' adds
+    the weight z^|lam^h| and sums over both endpoints, 'cylindric' ties
+    lam^0 = lam^h (with weight z^|lam^h|), 'open' fixes both endpoints.
+    """
+    x_alphas = tuple(_normalize_alphabet(a) for a in x_alphas)
+    y_alphas = tuple(_normalize_alphabet(a) for a in y_alphas)
+    if len(x_alphas) != len(y_alphas):
+        raise ValueError("need as many down-alphabets as up-alphabets")
+    x_all = tuple(a for alpha in x_alphas for a in alpha)
+    y_all = tuple(a for alpha in y_alphas for a in alpha)
+
+    pair = _pair_kernel_coeffs(x_alphas, y_alphas, order)
+
+    if which == "complete":
+        dist = {}
+        for lam in partitions_up_to(order):
+            dist[lam] = _one(order)
+        dist = _zigzag(dist, x_alphas, y_alphas, order, size_cap=order)
+        lhs = [0] * (order + 1)
+        for lam, vec in dist.items():
+            _shift_add(lhs, vec, lam.size, order)
+        rhs = [0] * (order + 1)
+        _conv_add(rhs, pair, _complete_rhs_coeffs(x_all, y_all, order), order)
+        params = {"x_alphabets": [list(a) for a in x_alphas], "y_alphabets": [list(a) for a in y_alphas]}
+        return IdentityReport("complete", params, order, lhs, rhs)
+
+    if which == "cylindric":
+        lhs = [0] * (order + 1)
+        for beta in partitions_up_to(order):
+            sub = order - beta.size
+            start = {beta: [1] + [0] * sub}
+            dist = _zigzag(start, x_alphas, y_alphas, sub, size_cap=beta.size + sub)
+            vec = dist.get(beta)
+            if vec is not None:
+                _shift_add(lhs, vec, beta.size, order)
+        rhs = [0] * (order + 1)
+        _conv_add(rhs, pair, _cylindric_rhs_coeffs(x_all, y_all, order), order)
+        params = {"x_alphabets": [list(a) for a in x_alphas], "y_alphabets": [list(a) for a in y_alphas]}
+        return IdentityReport("cylindric", params, order, lhs, rhs)
+
+    if which == "open":
+        lam0, lamh = endpoints if endpoints is not None else (EMPTY, EMPTY)
+        lam0 = Partition(lam0)
+        lamh = Partition(lamh)
+        start = {lam0: _one(order)}
+        dist = _zigzag(start, x_alphas, y_alphas, order, size_cap=lam0.size + order)
+        lhs = dist.get(lamh, [0] * (order + 1))
+        rhs = [0] * (order + 1)
+        _conv_add(rhs, pair, _open_sum_coeffs(lam0, lamh, x_all, y_all, order), order)
+        params = {
+            "x_alphabets": [list(a) for a in x_alphas],
+            "y_alphabets": [list(a) for a in y_alphas],
+            "endpoints": [list(lam0), list(lamh)],
+        }
+        return IdentityReport("open", params, order, lhs, rhs)
+
+    raise ValueError("unknown summation kind %r" % (which,))
+
+
+def verify_summation(which, delta, z_exponents=None, endpoints=None, order=8):
+    """Check the profile form of the open/complete/cylindric summation formula.
+
+    Diagonal i carries the alphabet {z^a : a in z_exponents[i-1]}; the
+    skew Schur factor at step i goes upward when delta_i = +1 and
+    downward when delta_i = -1.  z_exponents entries may be ints or
+    tuples of ints; by default every diagonal carries {z}.
+    """
+    delta = Profile(delta)
+    h = len(delta)
+    if h < 1:
+        raise ValueError("summation profiles need length >= 1")
+    if z_exponents is None:
+        z_exponents = (1,) * h
+    if len(z_exponents) != h:
+        raise ValueError("need one exponent choice per profile entry")
+    alphas = tuple(
+        (int(zc),) if isinstance(zc, int) else _normalize_alphabet(zc) for zc in z_exponents
+    )
+    x_alphas = tuple(alphas[i] if delta[i] == -1 else () for i in range(h))
+    y_alphas = tuple(alphas[i] if delta[i] == 1 else () for i in range(h))
+    report = verify_alternating_summation(which, x_alphas, y_alphas, endpoints, order)
+    params = {"profile": delta.text, "exponents": [list(a) for a in alphas]}
+    if which == "open":
+        params["endpoints"] = report.params["endpoints"]
+    return IdentityReport(report.name, params, order, report.lhs, report.rhs)
+
+
+# ---------------------------------------------------------------------------
+# the two lemmas and the three textbook identities
+
+
+def verify_lemma_s1(alpha, order=8):
+    """sum_{mu, tau} z^|mu| s_{mu/tau}(X) = prod_{k>=1} phi(z^k X)/(1-z^k)."""
+    alpha = _normalize_alphabet(alpha)
+    lhs = [0] * (order + 1)
+    for mu in partitions_up_to(order):
+        for tau in subpartitions(mu):
+            w = _skew_coeffs(mu, tau, alpha, order)
+            _shift_add(lhs, w, mu.size, order)
+    rhs = _one(order)
+    for k in range(1, order + 1):
+        _geometric(rhs, k, order)
+        _apply_phi(rhs, [k + a for a in alpha], order)
+    return IdentityReport("lemma_s1", {"alphabet": list(alpha)}, order, lhs, rhs)
+
+
+def verify_lemma_s2(x_alpha, y_alpha, order=8):
+    """sum_{lam,mu,gamma} z^|mu| s_{mu/gamma}(X) s_{lam/gamma}(Y)
+    = phi(Y) prod_{k>=1} phi(z^k (X+Y))/(1-z^k)."""
+    x_alpha = _normalize_alphabet(x_alpha)
+    y_alpha = _normalize_alphabet(y_alpha)
+    lhs = [0] * (order + 1)
+    for gamma in partitions_up_to(order):
+        mu_side = [0] * (order + 1)
+        for mu in superpartitions_up_to(gamma, order):
+            w = _skew_coeffs(mu, gamma, x_alpha, order)
+            _shift_add(mu_side, w, mu.size, order)
+        lam_side = [0] * (order + 1)
+        for lam in superpartitions_up_to(gamma, order):
+            w = _skew_coeffs(lam, gamma, y_alpha, order)
+            _shift_add(lam_side, w, 0, order)
+        _conv_add(lhs, mu_side, lam_side, order)
+    rhs = _one(order)
+    _apply_phi(rhs, y_alpha, order)
+    merged = list(x_alpha) + list(y_alpha)
+    for k in range(1, order + 1):
+        _geometric(rhs, k, order)
+        _apply_phi(rhs, [k + a for a in merged], order)
+    params = {"x_alphabet": list(x_alpha), "y_alphabet": list(y_alpha)}
+    return IdentityReport("lemma_s2", params, order, lhs, rhs)
+
+
+def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPTY, order=8):
+    """Check one of the three textbook skew Schur identities.
+
+    'p93A':  sum_rho s_{rho/lam}(X) s_{rho/mu}(Y)
+             = psi(X,Y) sum_rho s_{lam/rho}(Y) s_{mu/rho}(X)
+    'p93B':  sum_rho s_{rho/nu}(X) = phi(X) sum_rho s_{nu/rho}(X)
+    'p94A':  sum_{lam, gamma} z^|lam| s_{lam/gamma}(X) s_{lam/gamma}(Y)
+             = prod_{k>=1} psi(z^k X, Y)/(1-z^k)
+    """
+    x_alpha = _normalize_alphabet(x_alpha)
+    y_alpha = _normalize_alphabet(y_alpha)
+
+    if which == "p93A":
+        lam = Partition(lam)
+        mu = Partition(mu)
+        rho_max = max((order + lam.size + mu.size) // 2, lam.size, mu.size)
+        lhs = [0] * (order + 1)
+        for rho in partitions_up_to(rho_max):
+            if not (contains(rho, lam) and contains(rho, mu)):
+                continue
+            a = _skew_coeffs(rho, lam, x_alpha, order)
+            b = _skew_coeffs(rho, mu, y_alpha, order)
+            _conv_add(lhs, a, b, order)
+        rhs = [0] * (order + 1)
+        inter = Partition(min(lam[i], mu[i]) for i in range(min(len(lam), len(mu))))
+        inner = [0] * (order + 1)
+        for rho in subpartitions(inter):
+            a = _skew_coeffs(lam, rho, y_alpha, order)
+            b = _skew_coeffs(mu, rho, x_alpha, order)
+            _conv_add(inner, a, b, order)
+        kernel = _one(order)
+        for a in x_alpha:
+            for b in y_alpha:
+                if a + b <= order:
+                    _geometric(kernel, a + b, order)
+        _conv_add(rhs, kernel, inner, order)
+        params = {
+            "x_alphabet": list(x_alpha),
+            "y_alphabet": list(y_alpha),
+            "lam": list(lam),
+            "mu": list(mu),
+        }
+        return IdentityReport("p93A", params, order, lhs, rhs)
+
+    if which == "p93B":
+        nu = Partition(nu)
+        lhs = [0] * (order + 1)
+        for rho in partitions_up_to(nu.size + order):
+            if not contains(rho, nu):
+                continue
+            w = _skew_coeffs(rho, nu, x_alpha, order)
+            _shift_add(lhs, w, 0, order)
+        rhs = _one(order)
+        _apply_phi(rhs, x_alpha, order)
+        inner = [0] * (order + 1)
+        for rho in subpartitions(nu):
+            w = _skew_coeffs(nu, rho, x_alpha, order)
+            _shift_add(inner, w, 0, order)
+        out = [0] * (order + 1)
+        _conv_add(out, rhs, inner, order)
+        params = {"x_alphabet": list(x_alpha), "nu": list(nu)}
+        return IdentityReport("p93B", params, order, lhs, out)
+
+    if which == "p94A":
+        lhs = [0] * (order + 1)
+        for lam_ in partitions_up_to(order):
+            inner = [0] * (order + 1)
+            for gamma in subpartitions(lam_):
+                a = _skew_coeffs(lam_, gamma, x_alpha, order)
+                b = _skew_coeffs(lam_, gamma, y_alpha, order)
+                _conv_add(inner, a, b, order)
+            _shift_add(lhs, inner, lam_.size, order)
+        rhs = _one(order)
+        for k in range(1, order + 1):
+            _geometric(rhs, k, order)
+            for a in x_alpha:
+                for b in y_alpha:
+                    if k + a + b <= order:
+                        _geometric(rhs, k + a + b, order)
+        params = {"x_alphabet": list(x_alpha), "y_alphabet": list(y_alpha)}
+        return IdentityReport("p94A", params, order, lhs, rhs)
+
+    raise ValueError("unknown identity %r" % (which,))
+
+
+# ---------------------------------------------------------------------------
+# the standard battery
+
+
+LEMMA_ALPHABETS = ((), (1,), (2,), (1, 1), (1, 2), (2, 2))
+PAIR_ALPHABETS = ((), (1,), (2,), (1, 2))
+MACDONALD_OUTER = ((), (1,), (2, 1), (1, 1))
+OPEN_ENDPOINTS = (((), ()), ((1,), (1,)), ((2,), (1, 1)))
+
+
+def battery_cases(max_len=3, order=8, exponent_choices=(1, 2)):
+    """The deterministic list of identity checks, as (callable, description)."""
+    cases = []
+    for h in range(1, max_len + 1):
+        for delta in all_profiles(h):
+            for exps in iter_product(exponent_choices, repeat=h):
+                for which in ("complete", "cylindric"):
+                    cases.append(
+                        (lambda w=which, d=delta, e=exps: verify_summation(w, d, e, order=order))
+                    )
+                for endpoints in OPEN_ENDPOINTS[:2]:
+                    cases.append(
+                        (
+                            lambda d=delta, e=exps, ep=endpoints: verify_summation(
+                                "open", d, e, endpoints=ep, order=order
+                            )
+                        )
+                    )
+    # chains where one step carries both a down and an up alphabet
+    two_sided = (
+        (((1,),), ((1,),)),
+        (((2,), ()), ((1,), (1,))),
+        (((1,), (2,)), ((2,), (1,))),
+        (((1, 2), ()), ((), (1,))),
+    )
+    for x_alphas, y_alphas in two_sided:
+        for which in ("complete", "cylindric"):
+            cases.append(
+                (
+                    lambda w=which, xa=x_alphas, ya=y_alphas: verify_alternating_summation(
+                        w, xa, ya, order=order
+                    )
+                )
+            )
+        cases.append(
+            (
+                lambda xa=x_alphas, ya=y_alphas: verify_alternating_summation(
+                    "open", xa, ya, endpoints=((1,), (1,)), order=order
+                )
+            )
+        )
+    for alpha in LEMMA_ALPHABETS:
+        cases.append(lambda a=alpha: verify_lemma_s1(a, order=order))
+    for x_alpha in PAIR_ALPHABETS:
+        for y_alpha in PAIR_ALPHABETS:
+            cases.append(lambda xa=x_alpha, ya=y_alpha: verify_lemma_s2(xa, ya, order=order))
+            cases.append(
+                lambda xa=x_alpha, ya=y_alpha: verify_macdonald(
+                    "p94A", x_alpha=xa, y_alpha=ya, order=order
+                )
+            )
+    for lam in MACDONALD_OUTER[:3]:
+        for mu in MACDONALD_OUTER[:3]:
+            cases.append(
+                lambda l=lam, m=mu: verify_macdonald(
+                    "p93A", x_alpha=(1,), y_alpha=(2,), lam=l, mu=m, order=order
+                )
+            )
+    for nu in MACDONALD_OUTER:
+        for x_alpha in ((1,), (1, 2)):
+            cases.append(
+                lambda n=nu, xa=x_alpha: verify_macdonald("p93B", x_alpha=xa, nu=n, order=order)
+            )
+    return cases
+
+
+def run_battery(max_len=3, order=8, exponent_choices=(1, 2), inject_fault=None):
+    """Run the identity battery; returns the list of IdentityReport.
+
+    inject_fault, if given, corrupts the left side of the case with that
+    index by one unit; it exists so the reporting machinery itself can be
+    tested end to end.
+    """
+    reports = []
+    for idx, case in enumerate(battery_cases(max_len, order, exponent_choices)):
+        report = case()
+        if inject_fault is not None and idx == inject_fault:
+            tampered = list(report.lhs)
+            tampered[0] += 1
+            report = IdentityReport(report.name, report.params, report.order, tampered, report.rhs)
+        reports.append(report)
+    return reports
