@@ -17,7 +17,6 @@ from .asymptotics import (
     dspp_params,
     dspp_prefactor,
     dspp_width_constant,
-    gamma_fn,
     growth_rate,
     n_exponent,
     prefactor,
@@ -86,7 +85,6 @@ from .series import (
     scp_gf,
     scp_gf_unsimplified,
     scp_product_spec,
-    series_mul,
 )
 
 __version__ = "0.1.0"

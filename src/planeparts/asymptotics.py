@@ -46,13 +46,6 @@ class AsymptoticParams:
             raise ValueError("p must lie in (0, 1)")
 
 
-def gamma_fn(x):
-    """Gamma function for x > 0."""
-    if x <= 0:
-        raise ValueError("gamma_fn needs a positive argument")
-    return math.gamma(x)
-
-
 def psi_eval(params, n):
     """Evaluate psi_n(v, r, b; p) at a positive integer n."""
     if n < 1:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple, Optional
 
 from . import asymptotics, counting, schur, series
 from .profiles import (
@@ -25,9 +26,45 @@ from .profiles import (
     parse_profile,
 )
 
-GF_FAMILIES = ("dspp", "cp", "scp", "pp", "shiftpp", "sympp")
-COUNT_FAMILIES = ("dspp", "cp", "scp")
-ASYM_FAMILIES = ("dspp", "scp")
+
+class Family(NamedTuple):
+    """The routes of one family; None where the family has no such route.
+
+    The lambdas look their targets up when called, so a function rebound
+    in its module (by a tracer or a profiler) is the one that runs.
+    """
+
+    gf: Callable  # (profile, order) -> TruncatedSeries
+    multisets: Optional[Callable] = None  # profile -> the multisets gf --format json prints
+    count: Optional[Callable] = None  # (profile, order) -> CountVector
+    params: Optional[Callable] = None  # profile -> AsymptoticParams
+
+
+FAMILIES = {
+    "dspp": Family(
+        lambda delta, order: series.dspp_gf(delta, order),
+        lambda delta: (multiset_w1(delta), multiset_w2(delta)),
+        lambda delta, order: counting.count_dspp(delta, order),
+        lambda delta: asymptotics.dspp_params(delta),
+    ),
+    "cp": Family(
+        lambda delta, order: series.cp_gf(delta, order),
+        lambda delta: (multiset_w3(delta),),
+        lambda delta, order: counting.count_cp(delta, order),
+    ),
+    "scp": Family(
+        lambda delta, order: series.scp_gf(delta, order),
+        lambda delta: (multiset_w4(delta), multiset_w5(delta)),
+        lambda delta, order: counting.count_scp(delta, order),
+        lambda delta: asymptotics.scp_params(delta),
+    ),
+    "pp": Family(lambda delta, order: series.classical_gf("pp", order)),
+    "shiftpp": Family(lambda delta, order: series.classical_gf("shiftpp", order)),
+    "sympp": Family(lambda delta, order: series.classical_gf("sympp", order)),
+}
+GF_FAMILIES = tuple(FAMILIES)
+COUNT_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.count)
+ASYM_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.params)
 
 
 def _emit_vector(meta, values, fmt, out):
@@ -45,37 +82,20 @@ def _emit_vector(meta, values, fmt, out):
 
 def cmd_gf(args, out):
     delta = parse_profile(args.profile)
-    family = args.family
-    if family == "dspp":
-        values = series.dspp_gf(delta, args.order).coeffs
-        multisets = (multiset_w1(delta), multiset_w2(delta))
-    elif family == "cp":
-        values = series.cp_gf(delta, args.order).coeffs
-        multisets = (multiset_w3(delta),)
-    elif family == "scp":
-        values = series.scp_gf(delta, args.order).coeffs
-        multisets = (multiset_w4(delta), multiset_w5(delta))
-    else:
-        values = series.classical_gf(family, args.order).coeffs
-        multisets = None
-    meta = {"command": "gf", "family": family, "order": args.order}
-    if multisets is not None:
+    family = FAMILIES[args.family]
+    values = family.gf(delta, args.order).coeffs
+    meta = {"command": "gf", "family": args.family, "order": args.order}
+    if family.multisets is not None:
         meta["profile"] = delta.text
-        meta["multisets"] = [em.to_json() for em in multisets]
+        meta["multisets"] = [em.to_json() for em in family.multisets(delta)]
     _emit_vector(meta, values, args.format, out)
     return 0
 
 
 def cmd_count(args, out):
     delta = parse_profile(args.profile)
-    family = args.family
-    if family == "dspp":
-        values = counting.count_dspp(delta, args.order).counts
-    elif family == "cp":
-        values = counting.count_cp(delta, args.order).counts
-    else:
-        values = counting.count_scp(delta, args.order).counts
-    meta = {"command": "count", "family": family, "profile": delta.text, "order": args.order}
+    values = FAMILIES[args.family].count(delta, args.order).counts
+    meta = {"command": "count", "family": args.family, "profile": delta.text, "order": args.order}
     _emit_vector(meta, values, args.format, out)
     return 0
 
@@ -89,7 +109,7 @@ def cmd_asym(args, out):
         delta = parse_profile("-" * (args.m - 1))
     else:
         delta = parse_profile(args.profile)
-    params = asymptotics.dspp_params(delta) if args.family == "dspp" else asymptotics.scp_params(delta)
+    params = FAMILIES[args.family].params(delta)
     payload = {
         "command": "asym",
         "family": args.family,
@@ -130,12 +150,8 @@ def cmd_table(args, out):
     rows = []
     for family, profile_text in TABLE_ROWS:
         delta = parse_profile(profile_text)
-        if family == "dspp":
-            gf = series.dspp_gf(delta, order)
-            params = asymptotics.dspp_params(delta)
-        else:
-            gf = series.scp_gf(delta, order)
-            params = asymptotics.scp_params(delta)
+        gf = FAMILIES[family].gf(delta, order)
+        params = FAMILIES[family].params(delta)
         rows.append(
             {
                 "family": family,

@@ -9,10 +9,14 @@ A profile is a finite ±1 sequence delta.  It encodes three things at once:
   region: reading diagonals left to right gives partitions
   lam^0, ..., lam^h with lam^{i-1} ≺ lam^i when delta_i = +1 and
   lam^{i-1} ≻ lam^i when delta_i = -1;
-* five exponent multisets w1..w5.  Each generating function in this
+* the exponent multisets w1..w5.  Each generating function in this
   package is a product of factors 1/(1 - z^(base*k + t)) with t running
   over such a multiset and k >= 0; w1/w2 drive the skew doubled shifted
   family, w3 the cylindric family, w4/w5 the symmetric cylindric family.
+  w4/w5 are not separate formulas: they are w1/w2 computed at positions
+  2i - 1 and width 2m - 1 instead of positions i and width m.  series
+  compiles every such product to one truncated exponent map and expands
+  it with one kernel.
 
 Conventions.  Cells are (row, column), both >= 1, matrix orientation.
 Diagonal k (k = 0..h) is the set of region cells with
@@ -132,35 +136,52 @@ def _indexed(delta):
     return list(enumerate(tuple(delta), start=1))
 
 
+def _positions(delta, symmetric):
+    """(width, [(position, sign)]) of a profile of length h = m - 1.
+
+    The skew doubled shifted family puts entry i at position i, width
+    m = h + 1; the symmetric cylindric family puts it at 2i - 1, width
+    2m - 1.  Both families share their multiset and raw-product code
+    through this map.
+    """
+    delta = Profile(delta)
+    if symmetric:
+        return 2 * len(delta) + 1, [(2 * i - 1, e) for i, e in _indexed(delta)]
+    return len(delta) + 1, _indexed(delta)
+
+
+def _single_multiset(delta, symmetric):
+    """Residues width and, per entry, p at a -1 or width - p at a +1 (base width)."""
+    width, items = _positions(delta, symmetric)
+    elems = [width] + [p if e == -1 else width - p for p, e in items]
+    return ExponentMultiset.from_elements(width, elems)
+
+
+def _pair_multiset(delta, symmetric):
+    """Residues over position pairs p < q (base 2 * width)."""
+    width, items = _positions(delta, symmetric)
+    elems = []
+    for x, (p, ep) in enumerate(items):
+        for q, eq in items[x + 1 :]:
+            if ep == eq == -1:
+                elems.append(p + q)
+            elif ep == eq == 1:
+                elems.append(2 * width - p - q)
+            elif ep < eq:
+                elems.append(2 * width + p - q)
+            else:
+                elems.append(q - p)
+    return ExponentMultiset.from_elements(2 * width, elems)
+
+
 def multiset_w1(delta):
     """First exponent multiset of the skew doubled shifted family (base m)."""
-    delta = Profile(delta)
-    m = len(delta) + 1
-    elems = [m]
-    for i, e in _indexed(delta):
-        elems.append(i if e == -1 else m - i)
-    return ExponentMultiset.from_elements(m, elems)
+    return _single_multiset(delta, symmetric=False)
 
 
 def multiset_w2(delta):
     """Second exponent multiset of the skew doubled shifted family (base 2m)."""
-    delta = Profile(delta)
-    m = len(delta) + 1
-    elems = []
-    items = _indexed(delta)
-    for x in range(len(items)):
-        i, ei = items[x]
-        for y in range(x + 1, len(items)):
-            j, ej = items[y]
-            if ei == ej == -1:
-                elems.append(i + j)
-            elif ei == ej == 1:
-                elems.append(2 * m - i - j)
-            elif ei < ej:
-                elems.append(2 * m + i - j)
-            else:
-                elems.append(j - i)
-    return ExponentMultiset.from_elements(2 * m, elems)
+    return _pair_multiset(delta, symmetric=False)
 
 
 def multiset_w3(delta):
@@ -183,34 +204,15 @@ def multiset_w3(delta):
 
 
 def multiset_w4(delta):
-    """First exponent multiset of the symmetric cylindric family (base 2m-1)."""
-    delta = Profile(delta)
-    m = len(delta) + 1
-    elems = [2 * m - 1]
-    for i, e in _indexed(delta):
-        elems.append(2 * i - 1 if e == -1 else 2 * m - 2 * i)
-    return ExponentMultiset.from_elements(2 * m - 1, elems)
+    """First exponent multiset of the symmetric cylindric family (base 2m-1):
+    w1 at positions 2i-1 and width 2m-1."""
+    return _single_multiset(delta, symmetric=True)
 
 
 def multiset_w5(delta):
-    """Second exponent multiset of the symmetric cylindric family (base 2(2m-1))."""
-    delta = Profile(delta)
-    m = len(delta) + 1
-    elems = []
-    items = _indexed(delta)
-    for x in range(len(items)):
-        i, ei = items[x]
-        for y in range(x + 1, len(items)):
-            j, ej = items[y]
-            if ei == ej == -1:
-                elems.append(2 * i + 2 * j - 2)
-            elif ei == ej == 1:
-                elems.append(4 * m - 2 * i - 2 * j)
-            elif ei < ej:
-                elems.append(2 * (2 * m - 1) + 2 * i - 2 * j)
-            else:
-                elems.append(2 * j - 2 * i)
-    return ExponentMultiset.from_elements(2 * (2 * m - 1), elems)
+    """Second exponent multiset of the symmetric cylindric family (base 2(2m-1)):
+    w2 at positions 2i-1 and width 2m-1."""
+    return _pair_multiset(delta, symmetric=True)
 
 
 def run_lengths(delta):

@@ -23,12 +23,15 @@ The right-hand sides are products assembled from the two kernels
     phi(X) = prod_i 1/(1-x_i) * prod_{i<j} 1/(1-x_i x_j)
     psi(X, Y) = prod_{i,j} 1/(1-x_i y_j)
 
-via series.phi_series / series.psi_series style factors, entirely
-independent of the transfer code.
+and the geometric factors 1/(1-z^k).  Each product part is compiled to
+a truncated exponent map (series._phi, series._psi and the builders
+below) and expanded by the one kernel the generating functions use,
+series._expand; none of it shares code with the transfer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product as iter_product
 
@@ -43,7 +46,7 @@ from .partitions import (
     superpartitions_up_to,
 )
 from .profiles import Profile, all_profiles
-from .series import TruncatedSeries, _apply_phi, _geometric
+from .series import TruncatedSeries, _expand, _phi, _psi
 
 
 def _normalize_alphabet(alpha):
@@ -262,7 +265,7 @@ def _zigzag(dist, x_alphas, y_alphas, order, size_cap):
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
+# right-hand sides, as exponent maps for series._expand
 
 
 def _one(order):
@@ -271,17 +274,14 @@ def _one(order):
     return c
 
 
-def _pair_kernel_coeffs(x_alphas, y_alphas, order):
-    """prod over 0 <= i < j of psi(Y^i, X^j) as a coefficient vector."""
-    c = _one(order)
+def _pair_exponents(x_alphas, y_alphas, order):
+    """prod over 0 <= i < j of psi(Y^i, X^j)."""
+    exps = Counter()
     h = len(x_alphas)
     for i in range(h):
         for j in range(i + 1, h):
-            for a in y_alphas[i]:
-                for b in x_alphas[j]:
-                    if a + b <= order:
-                        _geometric(c, a + b, order)
-    return c
+            exps.update(_psi(y_alphas[i], x_alphas[j], order))
+    return exps
 
 
 def _open_sum_coeffs(lam0, lamh, x_all, y_all, order):
@@ -297,27 +297,20 @@ def _open_sum_coeffs(lam0, lamh, x_all, y_all, order):
     return out
 
 
-def _complete_rhs_coeffs(x_all, y_all, order):
-    """phi(X) * prod_{k>=1} phi(z^k (X+Y)) / (1-z^k)."""
-    c = _one(order)
-    _apply_phi(c, x_all, order)
-    merged = list(x_all) + list(y_all)
+def _complete_exponents(head, alphabet, order):
+    """phi(head) * prod_{k>=1} phi(z^k alphabet) / (1-z^k)."""
+    exps = _phi(head, order) + Counter(range(1, order + 1))
     for k in range(1, order + 1):
-        _geometric(c, k, order)
-        _apply_phi(c, [k + a for a in merged], order)
-    return c
+        exps.update(_phi([k + a for a in alphabet], order))
+    return exps
 
 
-def _cylindric_rhs_coeffs(x_all, y_all, order):
+def _cylindric_exponents(x_all, y_all, order):
     """prod_{k>=1} psi(z^k X, Y) / (1-z^k)."""
-    c = _one(order)
+    exps = Counter(range(1, order + 1))
     for k in range(1, order + 1):
-        _geometric(c, k, order)
-        for a in x_all:
-            for b in y_all:
-                if k + a + b <= order:
-                    _geometric(c, k + a + b, order)
-    return c
+        exps.update(_psi([k + a for a in x_all], y_all, order))
+    return exps
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +334,10 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
     x_all = tuple(a for alpha in x_alphas for a in alpha)
     y_all = tuple(a for alpha in y_alphas for a in alpha)
 
-    pair = _pair_kernel_coeffs(x_alphas, y_alphas, order)
+    pair = _pair_exponents(x_alphas, y_alphas, order)
 
     if which == "complete":
+        rhs = _expand(pair + _complete_exponents(x_all, x_all + y_all, order), order)
         dist = {}
         for lam in partitions_up_to(order):
             dist[lam] = _one(order)
@@ -351,12 +345,11 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
         lhs = [0] * (order + 1)
         for lam, vec in dist.items():
             _shift_add(lhs, vec, lam.size, order)
-        rhs = [0] * (order + 1)
-        _conv_add(rhs, pair, _complete_rhs_coeffs(x_all, y_all, order), order)
         params = {"x_alphabets": [list(a) for a in x_alphas], "y_alphabets": [list(a) for a in y_alphas]}
         return IdentityReport("complete", params, order, lhs, rhs)
 
     if which == "cylindric":
+        rhs = _expand(pair + _cylindric_exponents(x_all, y_all, order), order)
         lhs = [0] * (order + 1)
         for beta in partitions_up_to(order):
             sub = order - beta.size
@@ -365,12 +358,11 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
             vec = dist.get(beta)
             if vec is not None:
                 _shift_add(lhs, vec, beta.size, order)
-        rhs = [0] * (order + 1)
-        _conv_add(rhs, pair, _cylindric_rhs_coeffs(x_all, y_all, order), order)
         params = {"x_alphabets": [list(a) for a in x_alphas], "y_alphabets": [list(a) for a in y_alphas]}
         return IdentityReport("cylindric", params, order, lhs, rhs)
 
     if which == "open":
+        kernel = _expand(pair, order)
         lam0, lamh = endpoints if endpoints is not None else (EMPTY, EMPTY)
         lam0 = Partition(lam0)
         lamh = Partition(lamh)
@@ -378,7 +370,7 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
         dist = _zigzag(start, x_alphas, y_alphas, order, size_cap=lam0.size + order)
         lhs = dist.get(lamh, [0] * (order + 1))
         rhs = [0] * (order + 1)
-        _conv_add(rhs, pair, _open_sum_coeffs(lam0, lamh, x_all, y_all, order), order)
+        _conv_add(rhs, kernel, _open_sum_coeffs(lam0, lamh, x_all, y_all, order), order)
         params = {
             "x_alphabets": [list(a) for a in x_alphas],
             "y_alphabets": [list(a) for a in y_alphas],
@@ -424,15 +416,12 @@ def verify_summation(which, delta, z_exponents=None, endpoints=None, order=8):
 def verify_lemma_s1(alpha, order=8):
     """sum_{mu, tau} z^|mu| s_{mu/tau}(X) = prod_{k>=1} phi(z^k X)/(1-z^k)."""
     alpha = _normalize_alphabet(alpha)
+    rhs = _expand(_complete_exponents((), alpha, order), order)
     lhs = [0] * (order + 1)
     for mu in partitions_up_to(order):
         for tau in subpartitions(mu):
             w = _skew_coeffs(mu, tau, alpha, order)
             _shift_add(lhs, w, mu.size, order)
-    rhs = _one(order)
-    for k in range(1, order + 1):
-        _geometric(rhs, k, order)
-        _apply_phi(rhs, [k + a for a in alpha], order)
     return IdentityReport("lemma_s1", {"alphabet": list(alpha)}, order, lhs, rhs)
 
 
@@ -441,6 +430,7 @@ def verify_lemma_s2(x_alpha, y_alpha, order=8):
     = phi(Y) prod_{k>=1} phi(z^k (X+Y))/(1-z^k)."""
     x_alpha = _normalize_alphabet(x_alpha)
     y_alpha = _normalize_alphabet(y_alpha)
+    rhs = _expand(_complete_exponents(y_alpha, x_alpha + y_alpha, order), order)
     lhs = [0] * (order + 1)
     for gamma in partitions_up_to(order):
         mu_side = [0] * (order + 1)
@@ -452,12 +442,6 @@ def verify_lemma_s2(x_alpha, y_alpha, order=8):
             w = _skew_coeffs(lam, gamma, y_alpha, order)
             _shift_add(lam_side, w, 0, order)
         _conv_add(lhs, mu_side, lam_side, order)
-    rhs = _one(order)
-    _apply_phi(rhs, y_alpha, order)
-    merged = list(x_alpha) + list(y_alpha)
-    for k in range(1, order + 1):
-        _geometric(rhs, k, order)
-        _apply_phi(rhs, [k + a for a in merged], order)
     params = {"x_alphabet": list(x_alpha), "y_alphabet": list(y_alpha)}
     return IdentityReport("lemma_s2", params, order, lhs, rhs)
 
@@ -477,6 +461,7 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
     if which == "p93A":
         lam = Partition(lam)
         mu = Partition(mu)
+        kernel = _expand(_psi(x_alpha, y_alpha, order), order)
         rho_max = max((order + lam.size + mu.size) // 2, lam.size, mu.size)
         lhs = [0] * (order + 1)
         for rho in partitions_up_to(rho_max):
@@ -492,11 +477,6 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
             a = _skew_coeffs(lam, rho, y_alpha, order)
             b = _skew_coeffs(mu, rho, x_alpha, order)
             _conv_add(inner, a, b, order)
-        kernel = _one(order)
-        for a in x_alpha:
-            for b in y_alpha:
-                if a + b <= order:
-                    _geometric(kernel, a + b, order)
         _conv_add(rhs, kernel, inner, order)
         params = {
             "x_alphabet": list(x_alpha),
@@ -508,24 +488,24 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
 
     if which == "p93B":
         nu = Partition(nu)
+        kernel = _expand(_phi(x_alpha, order), order)
         lhs = [0] * (order + 1)
         for rho in partitions_up_to(nu.size + order):
             if not contains(rho, nu):
                 continue
             w = _skew_coeffs(rho, nu, x_alpha, order)
             _shift_add(lhs, w, 0, order)
-        rhs = _one(order)
-        _apply_phi(rhs, x_alpha, order)
         inner = [0] * (order + 1)
         for rho in subpartitions(nu):
             w = _skew_coeffs(nu, rho, x_alpha, order)
             _shift_add(inner, w, 0, order)
-        out = [0] * (order + 1)
-        _conv_add(out, rhs, inner, order)
+        rhs = [0] * (order + 1)
+        _conv_add(rhs, kernel, inner, order)
         params = {"x_alphabet": list(x_alpha), "nu": list(nu)}
-        return IdentityReport("p93B", params, order, lhs, out)
+        return IdentityReport("p93B", params, order, lhs, rhs)
 
     if which == "p94A":
+        rhs = _expand(_cylindric_exponents(x_alpha, y_alpha, order), order)
         lhs = [0] * (order + 1)
         for lam_ in partitions_up_to(order):
             inner = [0] * (order + 1)
@@ -534,13 +514,6 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
                 b = _skew_coeffs(lam_, gamma, y_alpha, order)
                 _conv_add(inner, a, b, order)
             _shift_add(lhs, inner, lam_.size, order)
-        rhs = _one(order)
-        for k in range(1, order + 1):
-            _geometric(rhs, k, order)
-            for a in x_alpha:
-                for b in y_alpha:
-                    if k + a + b <= order:
-                        _geometric(rhs, k + a + b, order)
         params = {"x_alphabet": list(x_alpha), "y_alphabet": list(y_alpha)}
         return IdentityReport("p94A", params, order, lhs, rhs)
 

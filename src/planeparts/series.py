@@ -3,21 +3,23 @@ generating functions of the three plane-partition families.
 
 A series of order N stores exactly the coefficients of z^0..z^N as
 arbitrary-precision Python ints; arithmetic never consults higher
-exponents.  Every denominator in this package has the geometric shape
-1 - z^e with e >= 1, so division is implemented as multiplication by
-the expanded geometric series (a single in-place prefix pass), and any
-factor whose minimal exponent exceeds N is the identity on the tracked
-range and is skipped.
+exponents.  Every product in this package, the generating functions here
+and the identity right-hand sides in schur alike, is a product of
+factors 1/(1 - z^e) with e >= 1.  Each one is compiled to a single
+representation, a truncated {exponent: multiplicity} map that keeps only
+e <= N, and expanded by a single kernel, _expand, which multiplies by
+one geometric series per factor in an in-place prefix pass.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
 from .profiles import (
-    ExponentMultiset,
     Profile,
+    _positions,
     multiset_w1,
     multiset_w2,
     multiset_w3,
@@ -47,10 +49,6 @@ class TruncatedSeries:
     def one(cls, order):
         return cls(order, (1,) + (0,) * order)
 
-    @classmethod
-    def zero(cls, order):
-        return cls(order, (0,) * (order + 1))
-
     def __getitem__(self, n):
         return self.coeffs[n]
 
@@ -70,28 +68,10 @@ class TruncatedSeries:
         out = _convolve(self.coeffs, other.coeffs, self.order)
         return TruncatedSeries(self.order, out)
 
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("order mismatch: %d vs %d" % (self.order, other.order))
-        return TruncatedSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def truncate(self, new_order):
-        """The same series tracked only up to new_order <= order."""
-        if new_order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(new_order, self.coeffs[: new_order + 1])
-
     def __str__(self):
         return "TruncatedSeries(order=%d, %s)" % (self.order, list(self.coeffs))
 
     __repr__ = __str__
-
-
-def series_mul(a, b):
-    """Product of two series of equal order, exact."""
-    return a * b
 
 
 def _convolve(a, b, order):
@@ -111,17 +91,45 @@ def _geometric(coeffs, e, order):
         coeffs[i] += coeffs[i - e]
 
 
-def _apply_phi(coeffs, exponents, order):
-    """In place: multiply by prod_i 1/(1-z^{e_i}) * prod_{i<j} 1/(1-z^{e_i+e_j})."""
-    exps = list(exponents)
-    for e in exps:
+def _expand(exponents, order):
+    """Coefficients of prod_e (1 - z^e)^(-m_e) over an {e: m_e} map, up to z^order.
+
+    The one expansion kernel.  Passes run from the largest exponent down:
+    the early passes then add mostly zeros and small ints, and only the
+    last few work on the full-size coefficients.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative, got %d" % order)
+    coeffs = [1] + [0] * order
+    for e in sorted(exponents, reverse=True):
         if e <= order:
-            _geometric(coeffs, e, order)
-    for x in range(len(exps)):
-        for y in range(x + 1, len(exps)):
-            s = exps[x] + exps[y]
-            if s <= order:
-                _geometric(coeffs, s, order)
+            for _ in range(exponents[e]):
+                _geometric(coeffs, e, order)
+    return coeffs
+
+
+def _product(exponents, order):
+    return TruncatedSeries(order, _expand(exponents, order))
+
+
+def _phi(exponents, order):
+    """Exponent map of phi: each a_i, and a_i + a_j over index pairs i < j, up to order."""
+    exps = Counter()
+    a = sorted(exponents)
+    for x, ax in enumerate(a):
+        if ax > order:
+            break
+        exps[ax] += 1
+        for ay in a[x + 1 :]:
+            if ax + ay > order:
+                break
+            exps[ax + ay] += 1
+    return exps
+
+
+def _psi(a_exponents, b_exponents, order):
+    """Exponent map of psi: a_i + b_j over all pairs, up to order."""
+    return Counter(a + b for a in a_exponents for b in b_exponents if a + b <= order)
 
 
 @dataclass(frozen=True)
@@ -160,17 +168,18 @@ class ProductSpec:
         return g
 
 
+def _spec_exponents(spec, order):
+    """The truncated exponent map of a ProductSpec."""
+    exps = Counter()
+    for x, y, mult in spec.factors:
+        for e in range(y, order + 1, x):
+            exps[e] += mult
+    return exps
+
+
 def expand_product(spec, order):
     """Expand a ProductSpec to a TruncatedSeries; coefficients are nonnegative."""
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    for x, y, mult in spec.factors:
-        k = 0
-        while x * k + y <= order:
-            for _ in range(mult):
-                _geometric(coeffs, x * k + y, order)
-            k += 1
-    return TruncatedSeries(order, coeffs)
+    return _product(_spec_exponents(spec, order), order)
 
 
 def phi_series(exponents, order):
@@ -178,10 +187,7 @@ def phi_series(exponents, order):
     exps = list(exponents)
     if any(a < 1 for a in exps):
         raise ValueError("exponents must be >= 1")
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    _apply_phi(coeffs, exps, order)
-    return TruncatedSeries(order, coeffs)
+    return _product(_phi(exps, order), order)
 
 
 def psi_series(a_exponents, b_exponents, order):
@@ -190,13 +196,7 @@ def psi_series(a_exponents, b_exponents, order):
     b_exps = list(b_exponents)
     if any(a < 1 for a in a_exps) or any(b < 1 for b in b_exps):
         raise ValueError("exponents must be >= 1")
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    for a in a_exps:
-        for b in b_exps:
-            if a + b <= order:
-                _geometric(coeffs, a + b, order)
-    return TruncatedSeries(order, coeffs)
+    return _product(_psi(a_exps, b_exps, order), order)
 
 
 def dspp_product_spec(delta):
@@ -231,79 +231,45 @@ def scp_gf(delta, order):
     return expand_product(scp_product_spec(delta), order)
 
 
+def _raw_exponents(width, items, order):
+    """Exponent map of the raw product form over signed positions.
+
+    items lists (position, sign) per profile entry.  The factors are the
+    boundary pairs 1/(1-z^{q-p}) for a +1 at position p before a -1 at
+    position q, the phi factor over the -1 positions, and for k >= 1 the
+    phi factor over width*k + p (at -1 positions) and width*k - p (at +1
+    positions), divided by 1 - z^{width*k}.
+    """
+    neg = [p for p, e in items if e == -1]
+    pos = [p for p, e in items if e == 1]
+    exps = Counter(q - p for p in pos for q in neg if p < q and q - p <= order)
+    exps.update(_phi(neg, order))
+    for k in range(1, order // width + 2):
+        w = width * k
+        if w <= order:
+            exps[w] += 1
+        exps.update(_phi([w + p for p in neg] + [w - p for p in pos], order))
+    return exps
+
+
 def dspp_gf_unsimplified(delta, order):
     """The skew doubled shifted generating function in its raw product form.
 
-    Computed straight from the boundary-pair factors 1/(1-z^{i-j}), the
-    phi factor over the -1 positions, and the k >= 1 tail of phi factors
-    with exponents (h+1)k + i (at -1 positions) and (h+1)k - j (at +1
-    positions), divided by 1 - z^{(h+1)k}.  Equal to dspp_gf coefficientwise;
-    keeping both forms makes the simplification an executable statement.
+    The raw form at positions i and width h+1.  Equal to dspp_gf
+    coefficientwise; keeping both forms makes the simplification an
+    executable statement.
     """
-    delta = Profile(delta)
-    h = len(delta)
-    neg = [i for i, e in enumerate(delta, start=1) if e == -1]
-    pos = [j for j, e in enumerate(delta, start=1) if e == 1]
-
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    for jx in range(h):
-        for ix in range(jx + 1, h):
-            if delta[ix] < delta[jx]:
-                e = ix - jx
-                if e <= order:
-                    _geometric(coeffs, e, order)
-    _apply_phi(coeffs, neg, order)
-
-    period = h + 1
-    k = 1
-    while True:
-        exps = [period * k + i for i in neg] + [period * k - j for j in pos]
-        min_single = min(exps) if exps else period * k
-        if period * k > order and min_single > order:
-            break
-        _apply_phi(coeffs, exps, order)
-        if period * k <= order:
-            _geometric(coeffs, period * k, order)
-        k += 1
-    return TruncatedSeries(order, coeffs)
+    return _product(_raw_exponents(*_positions(delta, symmetric=False), order), order)
 
 
 def scp_gf_unsimplified(delta, order):
     """The symmetric cylindric generating function in its raw product form.
 
-    Boundary-pair factors 1/(1-z^{2(j-i)}) over i < j with delta_i > delta_j,
-    a phi factor with odd exponents 2i-1 at the -1 positions, and the
-    k >= 1 tail of phi factors with exponents (2h+1)k -+ (2i-1), divided
-    by 1 - z^{(2h+1)k}.  Equal to scp_gf coefficientwise.
+    The raw form at positions 2i-1 and width 2h+1, so the boundary-pair
+    exponents are 2(j-i) and the phi exponents odd.  Equal to scp_gf
+    coefficientwise.
     """
-    delta = Profile(delta)
-    h = len(delta)
-    neg = [2 * i - 1 for i, e in enumerate(delta, start=1) if e == -1]
-    pos = [2 * i - 1 for i, e in enumerate(delta, start=1) if e == 1]
-
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    for ix in range(h):
-        for jx in range(ix + 1, h):
-            if delta[ix] > delta[jx]:
-                e = 2 * (jx - ix)
-                if e <= order:
-                    _geometric(coeffs, e, order)
-    _apply_phi(coeffs, neg, order)
-
-    period = 2 * h + 1
-    k = 1
-    while True:
-        exps = [period * k + o for o in neg] + [period * k - o for o in pos]
-        min_single = min(exps) if exps else period * k
-        if period * k > order and min_single > order:
-            break
-        _apply_phi(coeffs, exps, order)
-        if period * k <= order:
-            _geometric(coeffs, period * k, order)
-        k += 1
-    return TruncatedSeries(order, coeffs)
+    return _product(_raw_exponents(*_positions(delta, symmetric=True), order), order)
 
 
 CLASSICAL_KINDS = ("pp", "shiftpp", "sympp")
@@ -313,33 +279,12 @@ def classical_gf(kind, order):
     """Classical generating functions: plane partitions ('pp'), shifted
     plane partitions ('shiftpp'), symmetric plane partitions ('sympp')."""
     kind = kind.lower()
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    if kind == "pp":
-        for k in range(1, order + 1):
-            for _ in range(k):
-                _geometric(coeffs, k, order)
-    elif kind == "shiftpp":
-        for k in range(1, order + 1):
-            _geometric(coeffs, k, order)
-        i = 1
-        while 2 * i + 1 <= order:
-            for j in range(i + 1, order - i + 1):
-                if i + j <= order:
-                    _geometric(coeffs, i + j, order)
-            i += 1
-    elif kind == "sympp":
-        k = 1
-        while 2 * k - 1 <= order:
-            _geometric(coeffs, 2 * k - 1, order)
-            k += 1
-        i = 1
-        while 2 * (2 * i + 1 - 1) <= order:
-            j = i + 1
-            while 2 * (i + j - 1) <= order:
-                _geometric(coeffs, 2 * (i + j - 1), order)
-                j += 1
-            i += 1
+    if kind == "pp":  # exponent k with multiplicity k
+        exps = {k: k for k in range(1, order + 1)}
+    elif kind == "shiftpp":  # phi over every k >= 1
+        exps = _phi(range(1, order + 1), order)
+    elif kind == "sympp":  # phi over the odd k
+        exps = _phi(range(1, order + 1, 2), order)
     else:
         raise ValueError("unknown kind %r; expected one of %s" % (kind, ", ".join(CLASSICAL_KINDS)))
-    return TruncatedSeries(order, coeffs)
+    return _product(exps, order)

@@ -30,6 +30,7 @@ from planeparts.profiles import (
     multiset_w2,
     multiset_w4,
     multiset_w5,
+    _positions,
     parse_profile,
     profiles_up_to,
     region_cells,
@@ -37,11 +38,15 @@ from planeparts.profiles import (
 from planeparts.schur import run_battery
 from planeparts.series import (
     ProductSpec,
+    _raw_exponents,
+    _spec_exponents,
     cp_gf,
     dspp_gf,
     dspp_gf_unsimplified,
+    dspp_product_spec,
     scp_gf,
     scp_gf_unsimplified,
+    scp_product_spec,
 )
 
 ALPHA = 2 ** (-11 / 6) * math.sqrt(3) * math.pi ** (-1.5) * math.gamma(2 / 3) ** 2 * math.gamma(1 / 6)
@@ -87,6 +92,16 @@ def test_criterion_3_simplification_equivalence():
         ok = ok and dspp_gf_unsimplified(delta, 12) == dspp_gf(delta, 12)
         ok = ok and scp_gf_unsimplified(delta, 12) == scp_gf(delta, 12)
     report(3, "raw and simplified product forms agree at order 12", ok, t0, 60)
+
+
+def test_simplification_exponent_maps_at_scale():
+    # the raw and simplified forms compile to the same truncated exponent
+    # map, so the simplification can be checked far past any expandable order
+    order = 10**4
+    for delta in profiles_up_to(3):
+        for symmetric, spec in ((False, dspp_product_spec), (True, scp_product_spec)):
+            raw = _raw_exponents(*_positions(delta, symmetric), order)
+            assert raw == _spec_exponents(spec(delta), order), (delta.text, symmetric)
 
 
 def test_criterion_4_summation_identity_battery():

@@ -12,7 +12,6 @@ from planeparts.asymptotics import (
     dspp_prefactor,
     dspp_ribbon_params,
     dspp_width_constant,
-    gamma_fn,
     growth_rate,
     n_exponent,
     prefactor,
@@ -34,25 +33,6 @@ ALPHA = 2 ** (-11 / 6) * math.sqrt(3) * math.pi ** (-1.5) * math.gamma(2 / 3) **
 
 def rel_err(a, b):
     return abs(a - b) / abs(b)
-
-
-def test_gamma_values():
-    assert gamma_fn(1) == 1.0
-    assert rel_err(gamma_fn(0.5), math.sqrt(math.pi)) < 1e-14
-    # reflection: gamma(1/5) gamma(4/5) = pi / sin(pi/5)
-    assert rel_err(gamma_fn(0.2) * gamma_fn(0.8), math.pi / math.sin(math.pi / 5)) < 1e-13
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
-    with pytest.raises(ValueError):
-        gamma_fn(-1.5)
-
-
-def test_gamma_precision_against_mpmath():
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
-    for i in range(1, 41):
-        x = i / 20  # grid over (0, 2]
-        assert rel_err(gamma_fn(x), float(mp.gamma(x))) < 1e-12, x
 
 
 def test_psi_eval_direct_substitution():
@@ -166,9 +146,9 @@ def test_scp_exponents_exact():
 def test_scp_closed_constant_matches_display():
     # the width-3 all-down case in fully closed form
     expect = (
-        gamma_fn(1 / 5)
-        * gamma_fn(2 / 5)
-        * gamma_fn(3 / 5)
+        math.gamma(1 / 5)
+        * math.gamma(2 / 5)
+        * math.gamma(3 / 5)
         * 2 ** (-19 / 5)
         * 5 ** (-3 / 20)
         * math.pi ** (-9 / 5)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 
@@ -5,8 +6,6 @@ from planeparts.cli import main
 
 
 def run_cli(argv):
-    import contextlib
-
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
@@ -71,6 +70,18 @@ def test_cp_empty_profile_is_usage_error():
     assert code == 2
     code, _ = run_cli(["count", "--family", "cp", "--profile", "", "--order", "3"])
     assert code == 2
+    # negative orders are refused by the expansion kernel, which every
+    # product and every identity right-hand side goes through
+    for argv in (
+        ["gf", "--family", "dspp", "--profile", "++", "--order", "-1"],
+        ["gf", "--family", "pp", "--order", "-1"],
+        ["verify", "--max-len", "1", "--order", "-1"],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run_cli(argv)
+        assert code == 2, argv
+        assert err.getvalue().startswith("error:"), argv
 
 
 def test_asym_json():

@@ -23,9 +23,9 @@ def test_skew_schur_basic_values():
     # two variables on a single row of two cells: three fillings
     assert skew_schur_z((2,), (), (1, 1), 4).coeffs == (0, 0, 3, 0, 0)
     # a column is not a horizontal strip of one variable
-    assert skew_schur_z((1, 1), (), (1,), 4) == TruncatedSeries.zero(4)
+    assert skew_schur_z((1, 1), (), (1,), 4).coeffs == (0, 0, 0, 0, 0)
     # not contained -> zero series
-    assert skew_schur_z((1,), (2,), (1, 2), 4) == TruncatedSeries.zero(4)
+    assert skew_schur_z((1,), (2,), (1, 2), 4).coeffs == (0, 0, 0, 0, 0)
 
 
 def test_skew_schur_column_two_variables():
@@ -46,12 +46,11 @@ def test_skew_schur_coproduct():
     order = 9
     lam, mu = (3, 2), (1,)
     left = skew_schur_z(lam, mu, (1, 2, 2), order)
-    total = TruncatedSeries.zero(order)
+    total = [0] * (order + 1)
     for gamma in subpartitions(lam):
-        total = total + skew_schur_z(lam, gamma, (1,), order) * skew_schur_z(
-            gamma, mu, (2, 2), order
-        )
-    assert left == total
+        term = skew_schur_z(lam, gamma, (1,), order) * skew_schur_z(gamma, mu, (2, 2), order)
+        total = [a + b for a, b in zip(total, term.coeffs)]
+    assert left.coeffs == tuple(total)
 
 
 def test_skew_schur_single_row_count():
