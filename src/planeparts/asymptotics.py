@@ -46,18 +46,44 @@ class AsymptoticParams:
             raise ValueError("p must lie in (0, 1)")
 
 
-def psi_eval(params, n):
-    """Evaluate psi_n(v, r, b; p) at a positive integer n."""
+def log_psi(params, n):
+    """The natural logarithm of psi_n(v, r, b; p), summed term by term.
+
+    Finite for n up to about 10^600; past that it raises OverflowError.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     v, r, b, p = params.v, params.r, params.b, params.p
     return (
-        v
-        * math.sqrt(p * (1 - p) / (2 * math.pi))
-        * r ** (b + (1 - p) / 2)
-        / n ** (b + 1 - p / 2)
-        * math.exp(n**p * r ** (1 - p))
+        math.log(v)
+        + 0.5 * math.log(p * (1 - p) / (2 * math.pi))
+        + (b + (1 - p) / 2) * math.log(r)
+        - (b + 1 - p / 2) * math.log(n)
+        + math.exp(p * math.log(n)) * r ** (1 - p)
     )
+
+
+def psi_eval(params, n):
+    """Evaluate psi_n(v, r, b; p) at a positive integer n.
+
+    The direct product, so its values keep their last bits; when one of
+    its factors leaves the float range, exp(log_psi) instead.  Past the
+    float range that raises OverflowError.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    v, r, b, p = params.v, params.r, params.b, params.p
+    try:
+        value = (
+            v
+            * math.sqrt(p * (1 - p) / (2 * math.pi))
+            * r ** (b + (1 - p) / 2)
+            / n ** (b + 1 - p / 2)
+            * math.exp(n**p * r ** (1 - p))
+        )
+    except OverflowError:
+        value = math.inf
+    return math.exp(log_psi(params, n)) if math.isinf(value) else value
 
 
 def psi_table_value(params, n):

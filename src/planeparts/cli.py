@@ -5,14 +5,16 @@ counting oracles), asym (growth parameters and estimates), verify (the
 summation-identity battery), table (exact counts beside estimates).
 
 Coefficients are printed as decimal strings in json and csv output so
-that values beyond 2^53 survive the trip.  Exit codes: 0 on success,
-1 when a verification case fails, 2 on usage errors.
+that values beyond 2^53 survive the trip; asym prints psi values and
+estimates past the float range as mantissa-and-exponent strings.  Exit
+codes: 0 on success, 1 when a verification case fails, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -100,6 +102,25 @@ def cmd_count(args, out):
     return 0
 
 
+def _psi_values(params, n):
+    """psi_n and its integer part; past the float range, both as one
+    decimal string 'm.mmmmmmmmmmmme+E' computed from log_psi."""
+    try:
+        return asymptotics.psi_eval(params, n), asymptotics.psi_table_value(params, n)
+    except OverflowError:
+        pass
+    try:
+        log10 = asymptotics.log_psi(params, n) / math.log(10)
+    except OverflowError:
+        raise ValueError("n = %d is too large: log psi_n is past the float range" % n) from None
+    exponent = math.floor(log10)
+    mantissa = round(10 ** (log10 - exponent), 12)
+    if mantissa >= 10:
+        mantissa, exponent = mantissa / 10, exponent + 1
+    text = "%.12fe+%d" % (mantissa, exponent)
+    return text, text
+
+
 def cmd_asym(args, out):
     if args.m is not None:
         if args.family != "dspp":
@@ -117,8 +138,9 @@ def cmd_asym(args, out):
         "params": {"v": params.v, "r": params.r, "b": params.b, "p": params.p},
     }
     if args.n:
-        payload["psi"] = {str(n): asymptotics.psi_eval(params, n) for n in args.n}
-        payload["estimates"] = {str(n): asymptotics.psi_table_value(params, n) for n in args.n}
+        values = {str(n): _psi_values(params, n) for n in args.n}
+        payload["psi"] = {n: psi for n, (psi, _) in values.items()}
+        payload["estimates"] = {n: estimate for n, (_, estimate) in values.items()}
     out.write(json.dumps(payload, sort_keys=True) + "\n")
     return 0
 

@@ -4,9 +4,12 @@ These counters never touch the product formulas in series.py.  They walk
 sequences of partitions interlacing according to the profile, with a
 transfer dynamic program: the state is the current boundary partition and
 the value is the vector of accumulated weights, truncated at the target
-order.  Every transition weight is a nonnegative power of z, so states
-whose minimal accumulated degree exceeds the order are dropped, and a
-new state lam is only proposed while its own weight still fits.
+order.  Each profile entry is one horizontal-strip step,
+partitions._strip_step, the same step the skew Schur checks in schur.py
+take once per letter; here the new partition lam carries weight
+z^{|lam|} (z^{2|lam|} past the first diagonal of an scp).  States whose
+minimal accumulated degree exceeds the order are dropped, and a new
+state lam is only proposed while its own weight still fits.
 
 count_dspp_fillings is the one genuinely exponential oracle: it fills
 the staircase region cell by cell and exists to pin the diagonal-reading
@@ -18,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import (
-    horizontal_strip_predecessors,
-    horizontal_strip_successors,
+    _collect,
+    _shift_add,
+    _strip_step,
     is_horizontal_strip,
     partitions_up_to,
 )
@@ -47,19 +51,6 @@ class CountVector:
         return self.counts[n]
 
 
-def _min_degree(vec):
-    for d, c in enumerate(vec):
-        if c:
-            return d
-    return None
-
-
-def _shift_add(dst, src, shift, order):
-    for d, c in enumerate(src):
-        if c and d + shift <= order:
-            dst[d + shift] += c
-
-
 def _initial_distribution(order):
     """lam^0 free, weighted z^{|lam^0|}."""
     dist = {}
@@ -70,43 +61,16 @@ def _initial_distribution(order):
     return dist
 
 
-def _advance(dist, step, order, size_multiplier):
-    """One interlacing step; the new state lam carries weight z^{mult*|lam|}."""
-    ndist = {}
-    for mu, vec in dist.items():
-        mind = _min_degree(vec)
-        if mind is None:
-            continue
-        budget = order - mind
-        if step == 1:
-            candidates = horizontal_strip_successors(mu, mu.size + budget // size_multiplier)
-        else:
-            candidates = horizontal_strip_predecessors(mu)
-        for lam in candidates:
-            w = size_multiplier * lam.size
-            if mind + w > order:
-                continue
-            acc = ndist.get(lam)
-            if acc is None:
-                acc = [0] * (order + 1)
-                ndist[lam] = acc
-            _shift_add(acc, vec, w, order)
-    return ndist
-
-
-def _collect(dist, order, final_multiplier=0):
-    out = [0] * (order + 1)
-    for lam, vec in dist.items():
-        _shift_add(out, vec, final_multiplier * lam.size, order)
-    return out
+def _interlace(dist, delta, order, m):
+    """Step through the profile; each new state lam carries weight z^{m*|lam|}."""
+    for step in delta:
+        dist = _strip_step(dist, step == 1, order, 0, m)
+    return dist
 
 
 def count_dspp(delta, order):
     """Number of interlacing sequences (lam^0..lam^h) per profile, by total size."""
-    delta = Profile(delta)
-    dist = _initial_distribution(order)
-    for step in delta:
-        dist = _advance(dist, step, order, 1)
+    dist = _interlace(_initial_distribution(order), Profile(delta), order, 1)
     return CountVector(order, _collect(dist, order))
 
 
@@ -121,9 +85,7 @@ def count_cp(delta, order):
     for beta in partitions_up_to(order):
         vec = [0] * (order + 1)
         vec[beta.size] = 1
-        dist = {beta: vec}
-        for step in delta[:-1]:
-            dist = _advance(dist, step, order, 1)
+        dist = _interlace({beta: vec}, delta[:-1], order, 1)
         last = delta[-1]
         for mu, v in dist.items():
             closes = (
@@ -137,10 +99,7 @@ def count_cp(delta, order):
 def count_scp(delta, order):
     """Number of symmetric cylindric partitions by size: half-sequences
     interlacing per the profile, weighted z^{|lam^0| + 2 sum_{i>=1} |lam^i|}."""
-    delta = Profile(delta)
-    dist = _initial_distribution(order)
-    for step in delta:
-        dist = _advance(dist, step, order, 2)
+    dist = _interlace(_initial_distribution(order), Profile(delta), order, 2)
     return CountVector(order, _collect(dist, order))
 
 

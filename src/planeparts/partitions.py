@@ -5,6 +5,11 @@ terms differ by a horizontal strip, so this module fixes the partition
 encoding once and for all: a weakly decreasing tuple of positive parts,
 with no trailing zeros, so that equal partitions are equal tuples and can
 key dictionaries directly.
+
+It also owns the one transfer step built on that relation, _strip_step:
+a map from partitions to truncated coefficient vectors, moved across
+one horizontal strip.  The counting oracles and both sides of every
+skew Schur identity are chains of such steps.
 """
 
 from __future__ import annotations
@@ -155,33 +160,67 @@ def horizontal_strip_predecessors(mu):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def superpartitions_up_to(mu, max_total):
-    """All lam containing mu with |lam| <= max_total."""
-    mu = Partition(mu)
-    return tuple(lam for lam in partitions_up_to(max_total) if contains(lam, mu))
+# ---------------------------------------------------------------------------
+# the transfer step shared by the counting oracles and the identity sides
 
 
-@lru_cache(maxsize=None)
-def subpartitions(mu):
-    """All partitions contained in mu."""
-    mu = Partition(mu)
-    n = len(mu)
-    out = []
-    row = [0] * n
+def _min_degree(vec):
+    for d, c in enumerate(vec):
+        if c:
+            return d
+    return None
 
-    def rec(i):
-        if i == n:
-            out.append(Partition([p for p in row[:n] if p]))
-            return
-        hi = mu[i] if i == 0 else min(mu[i], row[i - 1])
-        for v in range(hi, -1, -1):
-            row[i] = v
-            rec(i + 1)
-            if v == 0:
-                break
 
-    if n == 0:
-        return (EMPTY,)
-    rec(0)
-    return tuple(out)
+def _shift_add(dst, src, shift, order):
+    """dst += z^shift * src, truncated at order."""
+    for d, c in enumerate(src[: max(order + 1 - shift, 0)], shift):
+        if c:
+            dst[d] += c
+
+
+def _collect(dist, order, m=0):
+    """The sum over all states lam of z^(m*|lam|) times their vectors."""
+    out = [0] * (order + 1)
+    for lam, vec in dist.items():
+        _shift_add(out, vec, m * lam.size, order)
+    return out
+
+
+def _strip_step(dist, up, order, a, m, cap=None):
+    """One single-letter horizontal-strip step of a transfer over partitions.
+
+    dist maps each state mu to its coefficient vector, truncated at order.
+    Every mu moves to each lam with mu ≺ lam (up) or lam ≺ mu (down), and
+    the move multiplies by z^(a*|strip| + m*|lam|).  Up moves keep
+    |lam| <= cap when a cap is given.  a + m >= 1 for up steps, so every
+    size increase costs a power of z, and only moves whose weight still
+    fits the order are made.
+    """
+    ndist = {}
+    for mu, vec in dist.items():
+        mind = _min_degree(vec)
+        if mind is None:
+            continue
+        budget = order - mind
+        size = mu.size
+        if up:
+            # the weight is (a+m)(|lam|-|mu|) + m|mu|
+            grow = (budget - m * size) // (a + m)
+            if cap is not None:
+                grow = min(grow, cap - size)
+            if grow < 0:
+                continue
+            candidates = _strip_extensions(mu, grow)
+            base, k = -a * size, a + m
+        else:
+            candidates = horizontal_strip_predecessors(mu)
+            base, k = a * size, m - a
+        for lam in candidates:
+            w = base + k * lam.size
+            if w > budget:
+                continue
+            acc = ndist.get(lam)
+            if acc is None:
+                acc = ndist[lam] = [0] * (order + 1)
+            _shift_add(acc, vec, w, order)
+    return ndist

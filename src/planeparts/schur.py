@@ -7,18 +7,18 @@ a truncation order.  Checking several independent specializations of a
 polynomial identity is a far stronger test than any finite set of
 hand-computed coefficients, while staying exact.
 
-The left-hand sides are sums over tuples of partitions joined by skew
-Schur weights.  They are evaluated by a transfer dynamic program whose
-state is the current partition and whose value is the vector of
-accumulated z-weights.  A single substituted variable z^a turns a skew
-Schur factor into a horizontal-strip step of weight z^(a*|strip|); a
-multi-variable alphabet turns it into a full specialized skew Schur
-weight, computed by the branching rule (one strip per variable).  All
-substituted exponents are >= 1, so every transition weight has degree
-at least the size change, which bounds the reachable states and makes
-the truncated sums finite.
+Every sum over partitions here, on either side, is a walk: a map from
+partitions to truncated coefficient vectors, started at one partition or
+at all of them, moved through skew Schur factors, and then read at one
+partition or summed.  By the branching rule a skew Schur factor in k
+letters is a chain of k horizontal strips, one per letter, and the
+letter z^a weights its strip by z^(a*|strip|); so every factor is k
+calls of the one strip step, partitions._strip_step, which the counting
+oracles use as well.  All substituted exponents are >= 1, so every step
+costs at least its size change, which bounds the reachable states and
+makes the truncated sums finite.
 
-The right-hand sides are products assembled from the two kernels
+The products on the right-hand sides are assembled from the two kernels
 
     phi(X) = prod_i 1/(1-x_i) * prod_{i<j} 1/(1-x_i x_j)
     psi(X, Y) = prod_{i,j} 1/(1-x_i y_j)
@@ -26,25 +26,16 @@ The right-hand sides are products assembled from the two kernels
 and the geometric factors 1/(1-z^k).  Each product part is compiled to
 a truncated exponent map (series._phi, series._psi and the builders
 below) and expanded by the one kernel the generating functions use,
-series._expand; none of it shares code with the transfer.
+series._expand.  Where a right-hand side also has a sum over partitions,
+the walk starts from the expanded product instead of from 1.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import product as iter_product
 
-from .partitions import (
-    EMPTY,
-    Partition,
-    contains,
-    horizontal_strip_predecessors,
-    horizontal_strip_successors,
-    partitions_up_to,
-    subpartitions,
-    superpartitions_up_to,
-)
+from .partitions import EMPTY, Partition, _collect, _shift_add, _strip_step, partitions_up_to
 from .profiles import Profile, all_profiles
 from .series import TruncatedSeries, _expand, _phi, _psi
 
@@ -56,82 +47,33 @@ def _normalize_alphabet(alpha):
     return exps
 
 
-def _min_degree(vec):
-    for d, c in enumerate(vec):
-        if c:
-            return d
-    return None
+def _one(order):
+    return [1] + [0] * order
 
 
-def _shift_add(dst, src, shift, order):
-    for d, c in enumerate(src):
-        if c and d + shift <= order:
-            dst[d + shift] += c
+def _walk(dist, up, alphabet, order, cap=None):
+    """Multiply by s_{lam/mu}(alphabet): one strip step per letter.
 
-
-def _conv_add(dst, a, b, order):
-    """dst += a * b, all truncated at order."""
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(0, order + 1 - i):
-                bj = b[j]
-                if bj:
-                    dst[i + j] += ai * bj
-
-
-@lru_cache(maxsize=None)
-def _strip_successors_within(nu, lam):
-    """All kappa with nu ≺ kappa and kappa contained in lam."""
-    if not contains(lam, nu):
-        return ()
-    n = len(nu)
-    out = []
-    row = [0] * (n + 1)
-
-    def rec(i):
-        if i == n:
-            base = row[:n]
-            out.append(Partition(base))
-            if n < len(lam):
-                top = lam[n] if n == 0 else min(lam[n], nu[n - 1])
-                for v in range(1, top + 1):
-                    out.append(Partition(base + [v]))
-            return
-        lo = nu[i]
-        hi = lam[i] if i == 0 else min(lam[i], nu[i - 1])
-        for v in range(lo, hi + 1):
-            row[i] = v
-            rec(i + 1)
-
-    rec(0)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _skew_coeffs(lam, mu, alphabet, order):
-    """Coefficient vector of s_{lam/mu} with variable t replaced by z^alphabet[t]."""
-    zero = (0,) * (order + 1)
-    if not contains(lam, mu):
-        return zero
-    cur = {mu: [1] + [0] * order}
+    Up walks move each state mu to every lam over it, keeping
+    |lam| <= cap when a cap is given; down walks move each lam to every
+    mu under it.
+    """
     for a in alphabet:
-        nxt = {}
-        for nu, vec in cur.items():
-            mind = _min_degree(vec)
-            if mind is None:
-                continue
-            for kap in _strip_successors_within(nu, lam):
-                shift = a * (kap.size - nu.size)
-                if mind + shift > order:
-                    continue
-                acc = nxt.get(kap)
-                if acc is None:
-                    acc = [0] * (order + 1)
-                    nxt[kap] = acc
-                _shift_add(acc, vec, shift, order)
-        cur = nxt
-    vec = cur.get(lam)
-    return zero if vec is None else tuple(vec)
+        dist = _strip_step(dist, up, order, a, 0, cap)
+    return dist
+
+
+def _zigzag(dist, x_alphas, y_alphas, order, cap=None):
+    """Down by X^i, then up by Y^i, for each step i of the chain."""
+    for x_alpha, y_alpha in zip(x_alphas, y_alphas):
+        dist = _walk(dist, False, x_alpha, order)
+        dist = _walk(dist, True, y_alpha, order, cap)
+    return dist
+
+
+def _at(dist, lam, order):
+    vec = dist.get(lam)
+    return [0] * (order + 1) if vec is None else vec
 
 
 def skew_schur_z(lam, mu, alphabet, order):
@@ -145,7 +87,8 @@ def skew_schur_z(lam, mu, alphabet, order):
     lam = Partition(lam)
     mu = Partition(mu)
     alphabet = _normalize_alphabet(alphabet)
-    return TruncatedSeries(order, _skew_coeffs(lam, mu, alphabet, order))
+    dist = _walk({mu: _one(order)}, True, alphabet, order, lam.size)
+    return TruncatedSeries(order, _at(dist, lam, order))
 
 
 class IdentityReport:
@@ -186,92 +129,29 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# transfer steps
+# left-hand sides
 
 
-def _transfer_down(dist, alphabet, order):
-    """New state mu ⊆ lam with weight s_{lam/mu}(alphabet)."""
-    if not alphabet:
-        return dist
-    ndist = {}
-    single = alphabet[0] if len(alphabet) == 1 else None
-    for lam, vec in dist.items():
-        mind = _min_degree(vec)
-        if mind is None:
-            continue
-        if single is not None:
-            for mu in horizontal_strip_predecessors(lam):
-                shift = single * (lam.size - mu.size)
-                if mind + shift > order:
-                    continue
-                acc = ndist.get(mu)
-                if acc is None:
-                    acc = [0] * (order + 1)
-                    ndist[mu] = acc
-                _shift_add(acc, vec, shift, order)
-        else:
-            for mu in subpartitions(lam):
-                w = _skew_coeffs(lam, mu, alphabet, order)
-                if _min_degree(w) is None:
-                    continue
-                acc = ndist.get(mu)
-                if acc is None:
-                    acc = [0] * (order + 1)
-                    ndist[mu] = acc
-                _conv_add(acc, vec, w, order)
-    return ndist
+def _complete_lhs(x_alphas, y_alphas, order):
+    """Sum over every chain of the zigzag weights times z^|lam^h|."""
+    dist = {lam: _one(order) for lam in partitions_up_to(order)}
+    return _collect(_zigzag(dist, x_alphas, y_alphas, order, order), order, 1)
 
 
-def _transfer_up(dist, alphabet, order, size_cap):
-    """New state lam ⊇ mu with weight s_{lam/mu}(alphabet), |lam| <= size_cap."""
-    if not alphabet:
-        return dist
-    ndist = {}
-    single = alphabet[0] if len(alphabet) == 1 else None
-    for mu, vec in dist.items():
-        mind = _min_degree(vec)
-        if mind is None:
-            continue
-        budget = order - mind  # any size increase costs at least that many z's
-        cap = min(size_cap, mu.size + budget)
-        if single is not None:
-            for lam in horizontal_strip_successors(mu, cap):
-                shift = single * (lam.size - mu.size)
-                if mind + shift > order:
-                    continue
-                acc = ndist.get(lam)
-                if acc is None:
-                    acc = [0] * (order + 1)
-                    ndist[lam] = acc
-                _shift_add(acc, vec, shift, order)
-        else:
-            for lam in superpartitions_up_to(mu, cap):
-                w = _skew_coeffs(lam, mu, alphabet, order)
-                if _min_degree(w) is None:
-                    continue
-                acc = ndist.get(lam)
-                if acc is None:
-                    acc = [0] * (order + 1)
-                    ndist[lam] = acc
-                _conv_add(acc, vec, w, order)
-    return ndist
-
-
-def _zigzag(dist, x_alphas, y_alphas, order, size_cap):
-    for x_alpha, y_alpha in zip(x_alphas, y_alphas):
-        dist = _transfer_down(dist, x_alpha, order)
-        dist = _transfer_up(dist, y_alpha, order, size_cap)
-    return dist
+def _cylindric_lhs(x_alphas, y_alphas, order):
+    """Sum over every closed chain, lam^0 = lam^h, of the zigzag weights times z^|lam^h|."""
+    lhs = [0] * (order + 1)
+    for beta in partitions_up_to(order):
+        sub = order - beta.size
+        dist = _zigzag({beta: _one(sub)}, x_alphas, y_alphas, sub)
+        vec = dist.get(beta)
+        if vec is not None:
+            _shift_add(lhs, vec, beta.size, order)
+    return lhs
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides, as exponent maps for series._expand
-
-
-def _one(order):
-    c = [0] * (order + 1)
-    c[0] = 1
-    return c
 
 
 def _pair_exponents(x_alphas, y_alphas, order):
@@ -282,19 +162,6 @@ def _pair_exponents(x_alphas, y_alphas, order):
         for j in range(i + 1, h):
             exps.update(_psi(y_alphas[i], x_alphas[j], order))
     return exps
-
-
-def _open_sum_coeffs(lam0, lamh, x_all, y_all, order):
-    """sum over gamma contained in both endpoints of s_{lam0/gamma}(X) s_{lamh/gamma}(Y)."""
-    inter = Partition(
-        min(lam0[i], lamh[i]) for i in range(min(len(lam0), len(lamh)))
-    )
-    out = [0] * (order + 1)
-    for gamma in subpartitions(inter):
-        a = _skew_coeffs(lam0, gamma, x_all, order)
-        b = _skew_coeffs(lamh, gamma, y_all, order)
-        _conv_add(out, a, b, order)
-    return out
 
 
 def _complete_exponents(head, alphabet, order):
@@ -333,50 +200,30 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
         raise ValueError("need as many down-alphabets as up-alphabets")
     x_all = tuple(a for alpha in x_alphas for a in alpha)
     y_all = tuple(a for alpha in y_alphas for a in alpha)
-
+    params = {
+        "x_alphabets": [list(a) for a in x_alphas],
+        "y_alphabets": [list(a) for a in y_alphas],
+    }
     pair = _pair_exponents(x_alphas, y_alphas, order)
 
     if which == "complete":
         rhs = _expand(pair + _complete_exponents(x_all, x_all + y_all, order), order)
-        dist = {}
-        for lam in partitions_up_to(order):
-            dist[lam] = _one(order)
-        dist = _zigzag(dist, x_alphas, y_alphas, order, size_cap=order)
-        lhs = [0] * (order + 1)
-        for lam, vec in dist.items():
-            _shift_add(lhs, vec, lam.size, order)
-        params = {"x_alphabets": [list(a) for a in x_alphas], "y_alphabets": [list(a) for a in y_alphas]}
+        lhs = _complete_lhs(x_alphas, y_alphas, order)
         return IdentityReport("complete", params, order, lhs, rhs)
 
     if which == "cylindric":
         rhs = _expand(pair + _cylindric_exponents(x_all, y_all, order), order)
-        lhs = [0] * (order + 1)
-        for beta in partitions_up_to(order):
-            sub = order - beta.size
-            start = {beta: [1] + [0] * sub}
-            dist = _zigzag(start, x_alphas, y_alphas, sub, size_cap=beta.size + sub)
-            vec = dist.get(beta)
-            if vec is not None:
-                _shift_add(lhs, vec, beta.size, order)
-        params = {"x_alphabets": [list(a) for a in x_alphas], "y_alphabets": [list(a) for a in y_alphas]}
+        lhs = _cylindric_lhs(x_alphas, y_alphas, order)
         return IdentityReport("cylindric", params, order, lhs, rhs)
 
     if which == "open":
+        # rhs: psi pairs times sum_gamma s_{lam0/gamma}(X) s_{lamh/gamma}(Y)
         kernel = _expand(pair, order)
-        lam0, lamh = endpoints if endpoints is not None else (EMPTY, EMPTY)
-        lam0 = Partition(lam0)
-        lamh = Partition(lamh)
-        start = {lam0: _one(order)}
-        dist = _zigzag(start, x_alphas, y_alphas, order, size_cap=lam0.size + order)
-        lhs = dist.get(lamh, [0] * (order + 1))
-        rhs = [0] * (order + 1)
-        _conv_add(rhs, kernel, _open_sum_coeffs(lam0, lamh, x_all, y_all, order), order)
-        params = {
-            "x_alphabets": [list(a) for a in x_alphas],
-            "y_alphabets": [list(a) for a in y_alphas],
-            "endpoints": [list(lam0), list(lamh)],
-        }
-        return IdentityReport("open", params, order, lhs, rhs)
+        lam0, lamh = (EMPTY, EMPTY) if endpoints is None else map(Partition, endpoints)
+        rhs = _zigzag({lam0: kernel}, (x_all,), (y_all,), order, lamh.size)
+        lhs = _zigzag({lam0: _one(order)}, x_alphas, y_alphas, order)
+        params["endpoints"] = [list(lam0), list(lamh)]
+        return IdentityReport("open", params, order, _at(lhs, lamh, order), _at(rhs, lamh, order))
 
     raise ValueError("unknown summation kind %r" % (which,))
 
@@ -414,34 +261,26 @@ def verify_summation(which, delta, z_exponents=None, endpoints=None, order=8):
 
 
 def verify_lemma_s1(alpha, order=8):
-    """sum_{mu, tau} z^|mu| s_{mu/tau}(X) = prod_{k>=1} phi(z^k X)/(1-z^k)."""
+    """sum_{mu, tau} z^|mu| s_{mu/tau}(X) = prod_{k>=1} phi(z^k X)/(1-z^k).
+
+    The left side is the complete chain with one up-step in X.
+    """
     alpha = _normalize_alphabet(alpha)
     rhs = _expand(_complete_exponents((), alpha, order), order)
-    lhs = [0] * (order + 1)
-    for mu in partitions_up_to(order):
-        for tau in subpartitions(mu):
-            w = _skew_coeffs(mu, tau, alpha, order)
-            _shift_add(lhs, w, mu.size, order)
+    lhs = _complete_lhs(((),), (alpha,), order)
     return IdentityReport("lemma_s1", {"alphabet": list(alpha)}, order, lhs, rhs)
 
 
 def verify_lemma_s2(x_alpha, y_alpha, order=8):
     """sum_{lam,mu,gamma} z^|mu| s_{mu/gamma}(X) s_{lam/gamma}(Y)
-    = phi(Y) prod_{k>=1} phi(z^k (X+Y))/(1-z^k)."""
+    = phi(Y) prod_{k>=1} phi(z^k (X+Y))/(1-z^k).
+
+    The left side is the complete chain lam ⊇ gamma ⊆ mu: down in Y, up in X.
+    """
     x_alpha = _normalize_alphabet(x_alpha)
     y_alpha = _normalize_alphabet(y_alpha)
     rhs = _expand(_complete_exponents(y_alpha, x_alpha + y_alpha, order), order)
-    lhs = [0] * (order + 1)
-    for gamma in partitions_up_to(order):
-        mu_side = [0] * (order + 1)
-        for mu in superpartitions_up_to(gamma, order):
-            w = _skew_coeffs(mu, gamma, x_alpha, order)
-            _shift_add(mu_side, w, mu.size, order)
-        lam_side = [0] * (order + 1)
-        for lam in superpartitions_up_to(gamma, order):
-            w = _skew_coeffs(lam, gamma, y_alpha, order)
-            _shift_add(lam_side, w, 0, order)
-        _conv_add(lhs, mu_side, lam_side, order)
+    lhs = _complete_lhs((y_alpha,), (x_alpha,), order)
     params = {"x_alphabet": list(x_alpha), "y_alphabet": list(y_alpha)}
     return IdentityReport("lemma_s2", params, order, lhs, rhs)
 
@@ -454,6 +293,8 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
     'p93B':  sum_rho s_{rho/nu}(X) = phi(X) sum_rho s_{nu/rho}(X)
     'p94A':  sum_{lam, gamma} z^|lam| s_{lam/gamma}(X) s_{lam/gamma}(Y)
              = prod_{k>=1} psi(z^k X, Y)/(1-z^k)
+
+    p94A's left side is the closed chain lam ⊇ gamma ⊆ lam.
     """
     x_alpha = _normalize_alphabet(x_alpha)
     y_alpha = _normalize_alphabet(y_alpha)
@@ -462,58 +303,30 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
         lam = Partition(lam)
         mu = Partition(mu)
         kernel = _expand(_psi(x_alpha, y_alpha, order), order)
+        # rho/lam and rho/mu cost |rho| - |lam| and |rho| - |mu| at least
         rho_max = max((order + lam.size + mu.size) // 2, lam.size, mu.size)
-        lhs = [0] * (order + 1)
-        for rho in partitions_up_to(rho_max):
-            if not (contains(rho, lam) and contains(rho, mu)):
-                continue
-            a = _skew_coeffs(rho, lam, x_alpha, order)
-            b = _skew_coeffs(rho, mu, y_alpha, order)
-            _conv_add(lhs, a, b, order)
-        rhs = [0] * (order + 1)
-        inter = Partition(min(lam[i], mu[i]) for i in range(min(len(lam), len(mu))))
-        inner = [0] * (order + 1)
-        for rho in subpartitions(inter):
-            a = _skew_coeffs(lam, rho, y_alpha, order)
-            b = _skew_coeffs(mu, rho, x_alpha, order)
-            _conv_add(inner, a, b, order)
-        _conv_add(rhs, kernel, inner, order)
+        rho = _walk({lam: _one(order)}, True, x_alpha, order, rho_max)
+        lhs = _walk(rho, False, y_alpha, order)
+        rhs = _zigzag({lam: kernel}, (y_alpha,), (x_alpha,), order, mu.size)
         params = {
             "x_alphabet": list(x_alpha),
             "y_alphabet": list(y_alpha),
             "lam": list(lam),
             "mu": list(mu),
         }
-        return IdentityReport("p93A", params, order, lhs, rhs)
+        return IdentityReport("p93A", params, order, _at(lhs, mu, order), _at(rhs, mu, order))
 
     if which == "p93B":
         nu = Partition(nu)
         kernel = _expand(_phi(x_alpha, order), order)
-        lhs = [0] * (order + 1)
-        for rho in partitions_up_to(nu.size + order):
-            if not contains(rho, nu):
-                continue
-            w = _skew_coeffs(rho, nu, x_alpha, order)
-            _shift_add(lhs, w, 0, order)
-        inner = [0] * (order + 1)
-        for rho in subpartitions(nu):
-            w = _skew_coeffs(nu, rho, x_alpha, order)
-            _shift_add(inner, w, 0, order)
-        rhs = [0] * (order + 1)
-        _conv_add(rhs, kernel, inner, order)
+        lhs = _collect(_walk({nu: _one(order)}, True, x_alpha, order), order)
+        rhs = _collect(_walk({nu: kernel}, False, x_alpha, order), order)
         params = {"x_alphabet": list(x_alpha), "nu": list(nu)}
         return IdentityReport("p93B", params, order, lhs, rhs)
 
     if which == "p94A":
         rhs = _expand(_cylindric_exponents(x_alpha, y_alpha, order), order)
-        lhs = [0] * (order + 1)
-        for lam_ in partitions_up_to(order):
-            inner = [0] * (order + 1)
-            for gamma in subpartitions(lam_):
-                a = _skew_coeffs(lam_, gamma, x_alpha, order)
-                b = _skew_coeffs(lam_, gamma, y_alpha, order)
-                _conv_add(inner, a, b, order)
-            _shift_add(lhs, inner, lam_.size, order)
+        lhs = _cylindric_lhs((x_alpha,), (y_alpha,), order)
         params = {"x_alphabet": list(x_alpha), "y_alphabet": list(y_alpha)}
         return IdentityReport("p94A", params, order, lhs, rhs)
 

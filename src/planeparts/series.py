@@ -60,29 +60,10 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.order, self.coeffs))
 
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("order mismatch: %d vs %d" % (self.order, other.order))
-        out = _convolve(self.coeffs, other.coeffs, self.order)
-        return TruncatedSeries(self.order, out)
-
     def __str__(self):
         return "TruncatedSeries(order=%d, %s)" % (self.order, list(self.coeffs))
 
     __repr__ = __str__
-
-
-def _convolve(a, b, order):
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(0, order + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return out
 
 
 def _geometric(coeffs, e, order):

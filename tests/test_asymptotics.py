@@ -13,6 +13,7 @@ from planeparts.asymptotics import (
     dspp_ribbon_params,
     dspp_width_constant,
     growth_rate,
+    log_psi,
     n_exponent,
     prefactor,
     psi_eval,
@@ -41,6 +42,12 @@ def test_psi_eval_direct_substitution():
     assert rel_err(psi_eval(p, 1), expect) < 1e-14
     with pytest.raises(ValueError):
         psi_eval(p, 0)
+    params = dspp_params(parse_profile("++"))
+    for n in (1, 20, 1000, 60000, 68000):  # exp alone overflows past n ~ 65650
+        assert rel_err(log_psi(params, n), math.log(psi_eval(params, n))) < 1e-12
+    assert math.isfinite(log_psi(params, 10**6))
+    with pytest.raises(OverflowError):
+        psi_eval(params, 10**6)
 
 
 def test_params_validation():

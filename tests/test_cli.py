@@ -95,6 +95,17 @@ def test_asym_json():
     assert payload["profile"] == "--"
     code, _ = run_cli(["asym", "--family", "scp", "--m", "3"])
     assert code == 2
+    # psi_100000 for dspp ++ is about 3.5e374: printed as mantissa and exponent
+    code, out = run_cli(["asym", "--family", "dspp", "--profile", "++", "--n", "20", "100000"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["estimates"]["20"] == 1325
+    text = payload["psi"]["100000"]
+    assert payload["estimates"]["100000"] == text
+    mantissa, exponent = text.split("e+")
+    assert 1 <= float(mantissa) < 10 and int(exponent) == 374
+    code, _ = run_cli(["asym", "--family", "dspp", "--profile", "++", "--n", str(10**700)])
+    assert code == 2  # even log psi_n is past the float range
 
 
 def test_table_values():

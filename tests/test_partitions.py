@@ -8,8 +8,6 @@ from planeparts.partitions import (
     is_horizontal_strip,
     partitions_of,
     partitions_up_to,
-    subpartitions,
-    superpartitions_up_to,
 )
 
 
@@ -117,19 +115,3 @@ def test_predecessors_equal_filter_oracle():
         got = set(horizontal_strip_predecessors(mu))
         expect = {nu for nu in partitions_up_to(mu.size) if is_horizontal_strip(mu, nu)}
         assert got == expect, mu
-
-
-def test_subpartitions_and_superpartitions():
-    for mu in partitions_up_to(5):
-        subs = set(subpartitions(mu))
-        expect = {
-            nu
-            for nu in partitions_up_to(mu.size)
-            if len(nu) <= len(mu) and all(nu[i] <= mu[i] for i in range(len(nu)))
-        }
-        assert subs == expect
-    for mu in partitions_up_to(4):
-        sups = set(superpartitions_up_to(mu, 6))
-        for lam in sups:
-            assert lam.size <= 6
-            assert all(mu[i] <= lam[i] for i in range(len(mu)))

@@ -1,0 +1,45 @@
+"""Property tests over random profiles, alphabets and orders.
+
+Hypothesis runs derandomized and without its example database, so every
+run draws the same examples and writes nothing.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planeparts.counting import count_cp, count_dspp, count_scp
+from planeparts.profiles import Profile
+from planeparts.schur import OPEN_ENDPOINTS, verify_summation
+from planeparts.series import cp_gf, dspp_gf, scp_gf
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+profiles = st.lists(st.sampled_from((1, -1)), min_size=1, max_size=4).map(Profile)
+alphabets = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple)
+
+
+@st.composite
+def summation_inputs(draw):
+    delta = draw(profiles)
+    exponents = tuple(draw(alphabets) for _ in delta)
+    return delta, exponents, draw(st.sampled_from(OPEN_ENDPOINTS)), draw(st.integers(0, 8))
+
+
+@PROPERTY_SETTINGS
+@given(summation_inputs())
+def test_summation_formulas_hold(inputs):
+    delta, exponents, endpoints, order = inputs
+    for which in ("complete", "cylindric"):
+        report = verify_summation(which, delta, exponents, order=order)
+        assert report.passed, report
+    report = verify_summation("open", delta, exponents, endpoints=endpoints, order=order)
+    assert report.passed, report
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.sampled_from((1, -1)), max_size=4).map(Profile), st.integers(0, 8))
+def test_counting_oracles_equal_products(delta, order):
+    assert count_dspp(delta, order).counts == dspp_gf(delta, order).coeffs
+    assert count_scp(delta, order).counts == scp_gf(delta, order).coeffs
+    if len(delta) >= 1:  # a cylinder needs at least one diagonal
+        assert count_cp(delta, order).counts == cp_gf(delta, order).coeffs

@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from planeparts.partitions import partitions_up_to, subpartitions
+from planeparts.partitions import contains, partitions_up_to
 from planeparts.profiles import parse_profile
 from planeparts.schur import (
     run_battery,
@@ -47,9 +47,14 @@ def test_skew_schur_coproduct():
     lam, mu = (3, 2), (1,)
     left = skew_schur_z(lam, mu, (1, 2, 2), order)
     total = [0] * (order + 1)
-    for gamma in subpartitions(lam):
-        term = skew_schur_z(lam, gamma, (1,), order) * skew_schur_z(gamma, mu, (2, 2), order)
-        total = [a + b for a, b in zip(total, term.coeffs)]
+    for gamma in partitions_up_to(sum(lam)):
+        if not contains(lam, gamma):
+            continue
+        a = skew_schur_z(lam, gamma, (1,), order).coeffs
+        b = skew_schur_z(gamma, mu, (2, 2), order).coeffs
+        for i in range(order + 1):
+            for j in range(order + 1 - i):
+                total[i + j] += a[i] * b[j]
     assert left.coeffs == tuple(total)
 
 
@@ -98,6 +103,11 @@ def test_pair_alphabet_summation():
     assert r.passed
     r = verify_summation("cylindric", parse_profile("-+"), ((2,), (1, 1)), order=7)
     assert r.passed
+    # the open right side starts its walk from the psi kernel
+    r = verify_summation(
+        "open", parse_profile("+-"), ((1, 2), (1,)), endpoints=((2,), (1, 1)), order=8
+    )
+    assert r.passed and any(r.lhs)
 
 
 def test_alternating_two_sided_steps():
@@ -138,6 +148,11 @@ def test_macdonald_identities():
     assert verify_macdonald(
         "p93A", x_alpha=(1,), y_alpha=(2,), lam=(1,), mu=(1,), order=8
     ).passed
+    # right sides that start their walk from the kernel, with two letters
+    r = verify_macdonald("p93A", x_alpha=(1, 2), y_alpha=(1,), lam=(2,), mu=(1, 1), order=8)
+    assert r.passed and any(r.rhs)
+    r = verify_macdonald("p93B", x_alpha=(1, 2), nu=(2, 1), order=8)
+    assert r.passed and any(r.rhs)
     with pytest.raises(ValueError):
         verify_macdonald("p95X", order=4)
 
