@@ -38,8 +38,6 @@ from .counting import (
 )
 from .partitions import (
     Partition,
-    horizontal_strip_predecessors,
-    horizontal_strip_successors,
     is_horizontal_strip,
     partitions_of,
     partitions_up_to,

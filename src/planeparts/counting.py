@@ -9,7 +9,8 @@ partitions._strip_step, the same step the skew Schur checks in schur.py
 take once per letter; here the new partition lam carries weight
 z^{|lam|} (z^{2|lam|} past the first diagonal of an scp).  States whose
 minimal accumulated degree exceeds the order are dropped, and a new
-state lam is only proposed while its own weight still fits.
+state lam is only proposed while its own weight still fits, on up and
+on down steps alike.
 
 count_dspp_fillings is the one genuinely exponential oracle: it fills
 the staircase region cell by cell and exists to pin the diagonal-reading

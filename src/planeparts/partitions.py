@@ -9,13 +9,14 @@ key dictionaries directly.
 It also owns the one transfer step built on that relation, _strip_step:
 a map from partitions to truncated coefficient vectors, moved across
 one horizontal strip.  The counting oracles and both sides of every
-skew Schur identity are chains of such steps.
+skew Schur identity are chains of such steps.  The step turns the order
+into a window of sizes and asks the one enumerator, _strips, for the
+partners of mu in that window, in either direction.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 
 class Partition(tuple):
@@ -50,13 +51,6 @@ class Partition(tuple):
 
 
 EMPTY = Partition()
-
-
-def contains(lam, mu):
-    """True iff the diagram of mu fits inside the diagram of lam."""
-    if len(mu) > len(lam):
-        return False
-    return all(mu[i] <= lam[i] for i in range(len(mu)))
 
 
 def is_horizontal_strip(lam, mu):
@@ -112,51 +106,44 @@ def partitions_up_to(n):
 
 
 @lru_cache(maxsize=None)
-def _strip_extensions(mu, budget):
-    """All lam with mu ≺ lam and |lam| <= |mu| + budget, budget >= 0."""
-    n = len(mu)
+def _strips(mu, up, lo, hi):
+    """All lam with mu ≺ lam (up) or lam ≺ mu (down) and lo <= |lam| <= hi.
+
+    Interlacing bounds each part of lam by mu alone: up, part i lies in
+    [mu_i, mu_{i-1}] (mu_0 read as hi, mu_{n+1} as 0); down, in
+    [mu_{i+1}, mu_i].  So the sizes the later parts can still add form
+    one interval, and parts are chosen first to last, each value tried
+    only while |lam| can still land in [lo, hi].  Each lam is returned
+    once, in lexicographic order of its padded parts.
+    """
+    if up:
+        lows, highs = mu + (0,), (hi,) + mu
+    else:
+        lows, highs = mu[1:] + (0,), mu
+    n = len(highs)
+    # rest_lo[i], rest_hi[i]: the least and the most that parts i.. add
+    rest_lo, rest_hi = [0] * (n + 1), [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        rest_lo[i] = rest_lo[i + 1] + lows[i]
+        rest_hi[i] = rest_hi[i + 1] + highs[i]
     out = []
     row = [0] * n
 
     def rec(i, spent):
         if i == n:
-            top = (budget - spent) if n == 0 else min(mu[n - 1], budget - spent)
-            base = row[:n]
-            out.append(Partition(base))
-            for v in range(1, top + 1):
-                out.append(Partition(base + [v]))
+            out.append(Partition([p for p in row if p]))
             return
-        lo = mu[i]
-        hi = lo + budget - spent
-        if i > 0:
-            hi = min(hi, mu[i - 1])
-        for v in range(lo, hi + 1):
+        for v in range(
+            max(lows[i], lo - spent - rest_hi[i + 1]),
+            min(highs[i], hi - spent - rest_lo[i + 1]) + 1,
+        ):
             row[i] = v
-            rec(i + 1, spent + v - lo)
+            rec(i + 1, spent + v)
 
-    rec(0, 0)
-    return tuple(out)
-
-
-def horizontal_strip_successors(mu, max_total):
-    """All lam with mu ≺ lam and |lam| <= max_total, each exactly once."""
-    mu = Partition(mu)
-    if mu.size > max_total:
-        return ()
-    return _strip_extensions(mu, max_total - mu.size)
-
-
-@lru_cache(maxsize=None)
-def horizontal_strip_predecessors(mu):
-    """All nu with nu ≺ mu (mu/nu a horizontal strip)."""
-    mu = Partition(mu)
-    n = len(mu)
-    if n == 0:
-        return (EMPTY,)
-    ranges = [range(mu[i + 1] if i + 1 < n else 0, mu[i] + 1) for i in range(n)]
-    out = []
-    for combo in product(*ranges):
-        out.append(Partition([p for p in combo if p]))
+    # the ranges keep |lam| in the window; with no parts to choose
+    # (down from the empty partition), only this test does
+    if max(lo, rest_lo[0]) <= min(hi, rest_hi[0]):
+        rec(0, 0)
     return tuple(out)
 
 
@@ -192,9 +179,10 @@ def _strip_step(dist, up, order, a, m, cap=None):
     dist maps each state mu to its coefficient vector, truncated at order.
     Every mu moves to each lam with mu ≺ lam (up) or lam ≺ mu (down), and
     the move multiplies by z^(a*|strip| + m*|lam|).  Up moves keep
-    |lam| <= cap when a cap is given.  a + m >= 1 for up steps, so every
-    size increase costs a power of z, and only moves whose weight still
-    fits the order are made.
+    |lam| <= cap when a cap is given.  Callers weigh either the strip or
+    the new state, never both: a == 0 or m == 0, and a + m >= 1.  The
+    weight is then monotone in |lam|, so the moves whose weight fits the
+    order are those with |lam| in one window, and only they are made.
     """
     ndist = {}
     for mu, vec in dist.items():
@@ -204,23 +192,25 @@ def _strip_step(dist, up, order, a, m, cap=None):
         budget = order - mind
         size = mu.size
         if up:
-            # the weight is (a+m)(|lam|-|mu|) + m|mu|
-            grow = (budget - m * size) // (a + m)
+            # the weight is (a+m)|lam| - a|mu|
+            lo, hi = size, (a * size + budget) // (a + m)
             if cap is not None:
-                grow = min(grow, cap - size)
-            if grow < 0:
-                continue
-            candidates = _strip_extensions(mu, grow)
+                hi = min(hi, cap)
             base, k = -a * size, a + m
         else:
-            candidates = horizontal_strip_predecessors(mu)
+            # |lam| >= |mu| - mu_1 for every lam ≺ mu; clamping to it
+            # lets equal windows share one _strips entry
+            least = size - (mu[0] if mu else 0)
+            if a:
+                lo, hi = max(size - budget // a, least), size
+            else:
+                lo, hi = least, min(budget // m, size)
             base, k = a * size, m - a
-        for lam in candidates:
-            w = base + k * lam.size
-            if w > budget:
-                continue
+        if lo > hi:  # no move fits; asking would only fill the cache
+            continue
+        for lam in _strips(mu, up, lo, hi):
             acc = ndist.get(lam)
             if acc is None:
                 acc = ndist[lam] = [0] * (order + 1)
-            _shift_add(acc, vec, w, order)
+            _shift_add(acc, vec, base + k * lam.size, order)
     return ndist

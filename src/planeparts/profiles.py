@@ -55,9 +55,6 @@ class Profile(tuple):
     def count_plus(self):
         return sum(1 for e in self if e == 1)
 
-    def count_minus(self):
-        return sum(1 for e in self if e == -1)
-
 
 def parse_profile(text):
     """Parse a profile from '+-' notation or a comma-separated list of ±1.

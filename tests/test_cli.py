@@ -76,6 +76,7 @@ def test_cp_empty_profile_is_usage_error():
         ["gf", "--family", "dspp", "--profile", "++", "--order", "-1"],
         ["gf", "--family", "pp", "--order", "-1"],
         ["verify", "--max-len", "1", "--order", "-1"],
+        ["verify", "--max-len", "-1", "--order", "2"],
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

@@ -3,8 +3,8 @@ import pytest
 from planeparts.partitions import (
     EMPTY,
     Partition,
-    horizontal_strip_predecessors,
-    horizontal_strip_successors,
+    _strip_step,
+    _strips,
     is_horizontal_strip,
     partitions_of,
     partitions_up_to,
@@ -88,30 +88,53 @@ def test_partitions_up_to_each_exactly_once():
     assert len(seen) == len(set(seen))
 
 
-def test_successors_examples():
-    assert set(horizontal_strip_successors((), 2)) == {(), (1,), (2,)}
-    assert set(horizontal_strip_successors((1,), 3)) == {(1,), (2,), (3,), (1, 1), (2, 1)}
-    assert set(horizontal_strip_successors((2, 2), 4)) == {(2, 2)}
+def test_strips_equal_filter_oracle():
+    # both directions, every window lo <= hi up to size 9, each partner once
+    top = 9
+    for mu in partitions_up_to(6):
+        for up in (True, False):
+            partners = [
+                lam
+                for lam in partitions_up_to(top)
+                if (is_horizontal_strip(lam, mu) if up else is_horizontal_strip(mu, lam))
+            ]
+            for lo in range(top + 1):
+                for hi in range(lo, top + 1):
+                    got = _strips(mu, up, lo, hi)
+                    assert len(got) == len(set(got)), (mu, up, lo, hi)
+                    expect = {lam for lam in partners if lo <= lam.size <= hi}
+                    assert set(got) == expect, (mu, up, lo, hi)
 
 
-def test_successors_equal_filter_oracle():
-    for mu in partitions_up_to(5):
-        for bound in range(mu.size, 8):
-            got = set(horizontal_strip_successors(mu, bound))
-            expect = {
-                lam for lam in partitions_up_to(bound) if is_horizontal_strip(lam, mu)
-            }
-            assert got == expect, (mu, bound)
+def reference_step(dist, up, order, a, m, cap=None):
+    """The strip step by brute force: every partition is a candidate."""
+    largest = max(mu.size for mu in dist) + order
+    out = {}
+    for mu, vec in dist.items():
+        for lam in partitions_up_to(largest):
+            if up:
+                if not is_horizontal_strip(lam, mu) or (cap is not None and lam.size > cap):
+                    continue
+            elif not is_horizontal_strip(mu, lam):
+                continue
+            w = a * abs(lam.size - mu.size) + m * lam.size
+            moved = [0] * w + list(vec[: max(order + 1 - w, 0)])
+            if any(moved):
+                acc = out.setdefault(lam, [0] * (order + 1))
+                for d, c in enumerate(moved):
+                    acc[d] += c
+    return out
 
 
-def test_successors_no_duplicates():
-    for mu in partitions_up_to(5):
-        got = horizontal_strip_successors(mu, 8)
-        assert len(got) == len(set(got))
-
-
-def test_predecessors_equal_filter_oracle():
-    for mu in partitions_up_to(7):
-        got = set(horizontal_strip_predecessors(mu))
-        expect = {nu for nu in partitions_up_to(mu.size) if is_horizontal_strip(mu, nu)}
-        assert got == expect, mu
+def test_strip_step_equals_reference_step():
+    order = 7
+    dist = {}
+    for i, mu in enumerate(partitions_up_to(4)):
+        # minimal degrees 0..order+1 (the last one an all-zero vector)
+        mind = i % (order + 2)
+        dist[mu] = [0] * mind + [1 + (d + i) % 3 for d in range(order + 1 - mind)]
+    for a, m in ((0, 1), (0, 2), (1, 0), (2, 0), (3, 0)):
+        for up in (True, False):
+            for cap in (None, 3):
+                got = _strip_step(dist, up, order, a, m, cap)
+                assert got == reference_step(dist, up, order, a, m, cap), (a, m, up, cap)
