@@ -88,6 +88,35 @@ def test_partitions_up_to_each_exactly_once():
     assert len(seen) == len(set(seen))
 
 
+def test_successors_examples():
+    assert set(_strips((), True, 0, 2)) == {(), (1,), (2,)}
+    assert set(_strips((1,), True, 0, 3)) == {(1,), (2,), (3,), (1, 1), (2, 1)}
+    assert set(_strips((2, 2), True, 0, 4)) == {(2, 2)}
+
+
+def test_successors_equal_filter_oracle():
+    for mu in partitions_up_to(5):
+        for bound in range(mu.size, 8):
+            got = set(_strips(mu, True, 0, bound))
+            expect = {
+                lam for lam in partitions_up_to(bound) if is_horizontal_strip(lam, mu)
+            }
+            assert got == expect, (mu, bound)
+
+
+def test_successors_no_duplicates():
+    for mu in partitions_up_to(5):
+        got = _strips(mu, True, 0, 8)
+        assert len(got) == len(set(got))
+
+
+def test_predecessors_equal_filter_oracle():
+    for mu in partitions_up_to(7):
+        got = set(_strips(mu, False, 0, mu.size))
+        expect = {nu for nu in partitions_up_to(mu.size) if is_horizontal_strip(mu, nu)}
+        assert got == expect, mu
+
+
 def test_strips_equal_filter_oracle():
     # both directions, every window lo <= hi up to size 9, each partner once
     top = 9
