@@ -7,7 +7,8 @@ summation-identity battery), table (exact counts beside estimates).
 Coefficients are printed as decimal strings in json and csv output so
 that values beyond 2^53 survive the trip; asym prints psi values and
 estimates past the float range as mantissa-and-exponent strings.  Exit
-codes: 0 on success, 1 when a verification case fails, 2 on usage errors.
+codes: 0 on success, 1 when a verification case fails, 2 on usage errors,
+3 on an internal error (any other exception, reported on stderr).
 """
 
 from __future__ import annotations
@@ -261,6 +262,9 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 is reserved for a failed verification
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

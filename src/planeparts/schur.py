@@ -344,7 +344,8 @@ OPEN_ENDPOINTS = (((), ()), ((1,), (1,)), ((2,), (1, 1)))
 
 
 def battery_cases(max_len=3, order=8, exponent_choices=(1, 2)):
-    """The deterministic list of identity checks, as (callable, description)."""
+    """The deterministic list of identity checks, as zero-argument callables
+    that each run one check and return its IdentityReport."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative, got %d" % max_len)
     cases = []

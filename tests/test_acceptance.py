@@ -38,8 +38,11 @@ from planeparts.profiles import (
 from planeparts.schur import run_battery
 from planeparts.series import (
     ProductSpec,
+    _classical_exponents,
+    _expand_passes,
     _raw_exponents,
     _spec_exponents,
+    classical_gf,
     cp_gf,
     dspp_gf,
     dspp_gf_unsimplified,
@@ -102,6 +105,19 @@ def test_simplification_exponent_maps_at_scale():
         for symmetric, spec in ((False, dspp_product_spec), (True, scp_product_spec)):
             raw = _raw_exponents(*_positions(delta, symmetric), order)
             assert raw == _spec_exponents(spec(delta), order), (delta.text, symmetric)
+
+
+def test_classical_series_at_scale():
+    # the classical maps have ~N^2 factors; the kernel expands them by the
+    # Euler recurrence, and its prefix must equal the geometric passes
+    budget = 10
+    t0 = time.time()
+    for kind, order in (("pp", 2000), ("shiftpp", 1500), ("sympp", 2000)):
+        coeffs = classical_gf(kind, order).coeffs
+        assert coeffs[:301] == tuple(_expand_passes(_classical_exponents(kind, 300), 300)), kind
+    elapsed = time.time() - t0
+    print("classical series at N = 1500-2000 (%.2fs)" % elapsed)
+    assert elapsed < budget, "classical series at scale exceeded the %ds budget" % budget
 
 
 def test_criterion_4_summation_identity_battery():

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 
+from planeparts import cli
 from planeparts.cli import main
+from planeparts.series import classical_gf
 
 
 def run_cli(argv):
@@ -23,6 +25,9 @@ def test_gf_classical():
     assert code == 0 and out.strip() == "1"
     code, out = run_cli(["gf", "--family", "pp", "--order", "5"])
     assert out.strip() == "1,1,3,6,13,24"
+    code, out = run_cli(["gf", "--family", "pp", "--order", "1500", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["coefficients"] == [str(c) for c in classical_gf("pp", 1500).coeffs]
 
 
 def test_gf_scp_minus_profile_forms():
@@ -180,3 +185,15 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli(["gf", "--family", "bogus", "--order", "3"])
     assert exc.value.code == 2
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch):
+    def broken(delta, order):
+        raise RuntimeError("kernel exploded")
+
+    monkeypatch.setitem(cli.FAMILIES, "pp", cli.Family(broken))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["gf", "--family", "pp", "--order", "3"])
+    assert code == 3 and out == ""
+    assert err.getvalue() == "internal error: RuntimeError: kernel exploded\n"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from planeparts.counting import count_cp, count_dspp, count_scp
 from planeparts.profiles import Profile
 from planeparts.schur import OPEN_ENDPOINTS, verify_summation
-from planeparts.series import cp_gf, dspp_gf, scp_gf
+from planeparts.series import _expand_euler, _expand_passes, cp_gf, dspp_gf, scp_gf
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -43,3 +43,9 @@ def test_counting_oracles_equal_products(delta, order):
     assert count_scp(delta, order).counts == scp_gf(delta, order).coeffs
     if len(delta) >= 1:  # a cylinder needs at least one diagonal
         assert count_cp(delta, order).counts == cp_gf(delta, order).coeffs
+
+
+@PROPERTY_SETTINGS
+@given(st.dictionaries(st.integers(1, 40), st.integers(1, 6)), st.integers(0, 60))
+def test_expansion_strategies_agree(exponents, order):
+    assert _expand_euler(exponents, order) == _expand_passes(exponents, order)

@@ -1,11 +1,20 @@
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from planeparts.profiles import parse_profile, profiles_up_to, reverse_negate
+from planeparts import series
+from planeparts.profiles import _positions, parse_profile, profiles_up_to, reverse_negate
 from planeparts.series import (
+    CLASSICAL_KINDS,
     ProductSpec,
     TruncatedSeries,
+    _classical_exponents,
+    _expand,
+    _expand_euler,
+    _expand_passes,
+    _raw_exponents,
+    _spec_exponents,
     classical_gf,
     cp_gf,
     cp_product_spec,
@@ -230,3 +239,46 @@ def test_family_specs_match_multisets():
     assert spec.factors == ((5, 3, 1), (5, 4, 1), (5, 5, 1), (10, 2, 1))
     spec = scp_product_spec(parse_profile("++"))
     assert spec.factors == ((5, 2, 1), (5, 4, 1), (5, 5, 1), (10, 6, 1))
+
+
+def test_expansion_strategies_agree():
+    for kind in CLASSICAL_KINDS:
+        for order in list(range(61)) + [300]:
+            exps = _classical_exponents(kind, order)
+            assert _expand_euler(exps, order) == _expand_passes(exps, order), (kind, order)
+    for delta in profiles_up_to(3):
+        specs = [dspp_product_spec(delta), scp_product_spec(delta)]
+        if len(delta) >= 1:
+            specs.append(cp_product_spec(delta))
+        for spec in specs:
+            exps = _spec_exponents(spec, 200)
+            assert _expand_euler(exps, 200) == _expand_passes(exps, 200), (delta.text, spec)
+        for symmetric in (False, True):
+            exps = _raw_exponents(*_positions(delta, symmetric), 60)
+            assert _expand_euler(exps, 60) == _expand_passes(exps, 60), (delta.text, symmetric)
+    for order in (0, 1, 7):
+        assert _expand_euler({}, order) == _expand_passes({}, order) == [1] + [0] * order
+        beyond = {order + 1: 3, order + 5: 1}
+        assert _expand_euler(beyond, order) == _expand_passes(beyond, order) == [1] + [0] * order
+
+
+def test_expand_chooses_by_cost(monkeypatch):
+    # the classical maps cost the passes 30-81 times the recurrence and
+    # the profile products at most 1.84 times: both strategies give the
+    # same integers, so the choice shows only in which body runs
+    calls = []
+    for body in (_expand_euler, _expand_passes):
+        monkeypatch.setattr(
+            series, body.__name__, lambda e, n, body=body: calls.append(body.__name__) or body(e, n)
+        )
+    classical_gf("pp", 40)
+    dspp_gf(parse_profile("++-+-"), 200)
+    _expand({}, 0)
+    assert calls == ["_expand_euler", "_expand_passes", "_expand_passes"]
+
+
+def test_euler_division_is_checked():
+    # (1 - z)^(-1/2) has non-integer coefficients: the recurrence must
+    # refuse them instead of truncating the quotient
+    with pytest.raises(ArithmeticError):
+        _expand_euler({1: Fraction(1, 2)}, 3)
