@@ -78,8 +78,6 @@ from .series import (
     dspp_gf_unsimplified,
     dspp_product_spec,
     expand_product,
-    phi_series,
-    psi_series,
     scp_gf,
     scp_gf_unsimplified,
     scp_product_spec,

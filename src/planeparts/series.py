@@ -7,12 +7,10 @@ exponents.  Every product in this package, the generating functions here
 and the identity right-hand sides in schur alike, is a product of
 factors 1/(1 - z^e) with e >= 1.  Each one is compiled to a single
 representation, a truncated {exponent: multiplicity} map that keeps only
-e <= N, and expanded by a single kernel, _expand.  The kernel has two
-strategies and reads their costs off the map: in-place geometric passes,
-one per factor, cost sum_e m_e (N - e + 1) big-int additions; the Euler
-(log-derivative) recurrence costs about N^2/2 products whatever the
-multiplicities.  It takes the recurrence when the passes would cost more
-than _EULER_COST_RATIO times as much.
+e <= N, and expanded by a single kernel, _expand: the Euler
+(log-derivative) recurrence, solved as an online convolution by divide
+and conquer, with each block's contribution computed as one big-int
+product of two Kronecker-packed ints.
 """
 
 from __future__ import annotations
@@ -71,75 +69,71 @@ class TruncatedSeries:
     __repr__ = __str__
 
 
-def _geometric(coeffs, e, order):
-    """In place: multiply the coefficient list by 1/(1 - z^e)."""
-    for i in range(e, order + 1):
-        coeffs[i] += coeffs[i - e]
+# Blocks of at most this many coefficients run the plain recurrence.
+_LEAF = 48
 
 
-def _expand_passes(exponents, order):
-    """The product by geometric passes, one per factor.
+def _solve(a, acc, c, lo, hi):
+    """Fill a[lo:hi] by the Euler recurrence n a_n = sum_{k=1..n} c_k a_{n-k}.
 
-    Passes run from the largest exponent down: the early passes then add
-    mostly zeros and small ints, and only the last few work on the
-    full-size coefficients.
+    On entry acc[n] holds sum_{j < lo} c_{n-j} a_j for every n in [lo, hi).
+    A leaf adds the terms with j >= lo one by one and divides by n.  A
+    longer range solves its left half, adds the left half's terms to every
+    n of the right half as one big-int product of two Kronecker-packed
+    ints, then solves its right half.
+
+    Slot s of that product is sum_{i+k=s} a_{lo+i} c_k: at most mid - lo
+    terms, each below 2^(bits of the largest a_j + bits of the largest
+    c_k).  The slot width adds the bit length of mid - lo, so every slot
+    sum fits its slot, and since every a_j and c_k is >= 0 no slot
+    borrows from its neighbour: the bytes read back are the exact sums.
+
+    A module-level function, not a closure that calls itself: the lists
+    come in as arguments, so no call leaves a reference cycle that keeps
+    them alive until the cyclic garbage collector runs.
     """
-    coeffs = [1] + [0] * order
-    for e in sorted(exponents, reverse=True):
-        if e <= order:
-            for _ in range(exponents[e]):
-                _geometric(coeffs, e, order)
-    return coeffs
-
-
-def _expand_euler(exponents, order):
-    """The product by the Euler recurrence n a_n = sum_{k=1..n} c_k a_{n-k},
-    where c_k = sum over e dividing k of e m_e (the logarithmic derivative).
-
-    The division by n is exact for every product of 1/(1 - z^e) factors;
-    a remainder means a wrong c_k and raises ArithmeticError.
-    """
-    c = [0] * (order + 1)
-    for e, m in exponents.items():
-        for k in range(e, order + 1, e):
-            c[k] += e * m
-    c.reverse()  # c[order - k] is c_k, so a slice lines up with a_0..a_{n-1}
-    coeffs = [1]
-    for n in range(1, order + 1):
-        a, r = divmod(sum(map(mul, coeffs, c[order - n :])), n)
-        if r:
-            raise ArithmeticError("Euler recurrence: z^%d coefficient is not an integer" % n)
-        coeffs.append(a)
-    return coeffs
-
-
-# Cost of the geometric passes over the Euler cost (order^2 / 2) above
-# which _expand takes the recurrence.  Measured with identical
-# coefficients, passes vs recurrence (2-vCPU box, CPython 3.11): pp at
-# N = 240 0.20 s vs 0.004 s (cost ratio 81), shiftpp at N = 360 0.37 s
-# vs 0.008 s (61), sympp at N = 720 0.58-0.67 s vs 0.023-0.027 s (31);
-# dspp/cp/scp products of length-3 and length-5 profiles at N = 1500
-# 0.015-0.27 s vs 0.05-0.17 s (0.20-1.84), with the recurrence faster
-# from a ratio of about 1.4.  The ratio reads 30 or more on every
-# classical map and at most 1.84 on every profile product of length
-# up to 5 at N = 1400-1550, so 4 leaves a wide margin on both sides.
-_EULER_COST_RATIO = 4
+    if hi - lo <= _LEAF:
+        for n in range(max(lo, 1), hi):
+            a[n], r = divmod(acc[n] + sum(map(mul, a[lo:n], c[n - lo : 0 : -1])), n)
+            if r:
+                raise ArithmeticError("Euler recurrence: z^%d coefficient is not an integer" % n)
+        return
+    mid = (lo + hi) // 2
+    _solve(a, acc, c, lo, mid)
+    block = a[lo:mid]
+    kernel = c[: hi - lo]
+    bits = max(block).bit_length() + max(kernel).bit_length() + (mid - lo).bit_length() + 1
+    w = (bits + 7) // 8
+    x = int.from_bytes(b"".join(v.to_bytes(w, "little") for v in block), "little")
+    y = int.from_bytes(b"".join(v.to_bytes(w, "little") for v in kernel), "little")
+    buf = (x * y).to_bytes((mid - lo + hi - lo) * w, "little")
+    for n in range(mid, hi):
+        i = (n - lo) * w
+        acc[n] += int.from_bytes(buf[i : i + w], "little")
+    _solve(a, acc, c, mid, hi)
 
 
 def _expand(exponents, order):
     """Coefficients of prod_e (1 - z^e)^(-m_e) over an {e: m_e} map, up to z^order.
 
-    The one expansion kernel.  It takes the Euler recurrence when the
-    geometric passes would cost more than _EULER_COST_RATIO times the
-    recurrence's order^2 / 2 products, and the passes otherwise.  Both
-    return the same integers.
+    The one expansion kernel: the Euler recurrence n a_n = sum_{k=1..n}
+    c_k a_{n-k}, where c_k = sum over e dividing k of e m_e (the
+    logarithmic derivative), solved by _solve as an online convolution
+    (van der Hoeven, "Relax, but don't be too lazy", 2002): about log2 of
+    N / _LEAF levels of Kronecker-packed block products (Harvey 2009), and
+    plain recurrence below that.  Every a_n comes out of a division by n
+    that is exact for every product of 1/(1 - z^e) factors; a remainder
+    means a wrong c_k and raises ArithmeticError.
     """
     if order < 0:
         raise ValueError("order must be nonnegative, got %d" % order)
-    passes = sum(m * (order - e + 1) for e, m in exponents.items() if e <= order)
-    if 2 * passes > _EULER_COST_RATIO * order * order:
-        return _expand_euler(exponents, order)
-    return _expand_passes(exponents, order)
+    c = [0] * (order + 1)
+    for e, m in exponents.items():
+        for k in range(e, order + 1, e):
+            c[k] += e * m
+    a = [1] + [0] * order
+    _solve(a, [0] * (order + 1), c, 0, order + 1)
+    return a
 
 
 def _product(exponents, order):
@@ -214,23 +208,6 @@ def _spec_exponents(spec, order):
 def expand_product(spec, order):
     """Expand a ProductSpec to a TruncatedSeries; coefficients are nonnegative."""
     return _product(_spec_exponents(spec, order), order)
-
-
-def phi_series(exponents, order):
-    """prod_i 1/(1-z^{a_i}) * prod_{i<j} 1/(1-z^{a_i+a_j}) truncated."""
-    exps = list(exponents)
-    if any(a < 1 for a in exps):
-        raise ValueError("exponents must be >= 1")
-    return _product(_phi(exps, order), order)
-
-
-def psi_series(a_exponents, b_exponents, order):
-    """prod_{i,j} 1/(1-z^{a_i+b_j}) truncated."""
-    a_exps = list(a_exponents)
-    b_exps = list(b_exponents)
-    if any(a < 1 for a in a_exps) or any(b < 1 for b in b_exps):
-        raise ValueError("exponents must be >= 1")
-    return _product(_psi(a_exps, b_exps, order), order)
 
 
 def dspp_product_spec(delta):

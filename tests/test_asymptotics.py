@@ -27,7 +27,7 @@ from planeparts.asymptotics import (
     scp_ribbon_params,
 )
 from planeparts.profiles import parse_profile, profiles_up_to
-from planeparts.series import ProductSpec, dspp_product_spec, expand_product
+from planeparts.series import ProductSpec, dspp_gf, dspp_product_spec, expand_product, scp_gf
 
 ALPHA = 2 ** (-11 / 6) * math.sqrt(3) * math.pi ** (-1.5) * math.gamma(2 / 3) ** 2 * math.gamma(1 / 6)
 
@@ -256,8 +256,25 @@ def test_combine_matches_merged_ribbon():
 
 def test_empirical_convergence_doubled_shifted():
     params = dspp_params(parse_profile("++"))
-    from planeparts.series import dspp_gf
-
     exact = dspp_gf(parse_profile("++"), 20)
     ratio = psi_eval(params, 20) / exact[20]
     assert 1.0 <= ratio <= 1.1
+
+
+def test_second_order_constant_settles():
+    # kappa_n = sqrt(n) (a_n / psi_n - 1) tends to a constant per profile,
+    # the second term of the expansion; it must have settled by n = 1000
+    kappas = {}
+    for family, gf, params in (("dspp", dspp_gf, dspp_params), ("scp", scp_gf, scp_params)):
+        for delta in profiles_up_to(2, min_length=1):
+            coeffs = gf(delta, 3000).coeffs
+            k1000, k3000 = (
+                math.sqrt(n) * math.expm1(math.log(coeffs[n]) - log_psi(params(delta), n))
+                for n in (1000, 3000)
+            )
+            assert abs(k1000 - k3000) < 0.05 and abs(k3000) <= 1, (family, delta.text, k1000, k3000)
+            kappas[family, delta.text] = k3000
+    # dspp "+" is the partition function p(n): its second term is the
+    # Hardy-Ramanujan -(sqrt(3/2)/pi + pi/(24 sqrt(6))) = -0.4433
+    hardy_ramanujan = -(math.sqrt(1.5) / math.pi + math.pi / (24 * math.sqrt(6)))
+    assert abs(kappas["dspp", "+"] - hardy_ramanujan) < 0.01

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from planeparts.counting import count_cp, count_dspp, count_scp
 from planeparts.profiles import Profile
 from planeparts.schur import OPEN_ENDPOINTS, verify_summation
-from planeparts.series import _expand_euler, _expand_passes, cp_gf, dspp_gf, scp_gf
+from planeparts.series import _expand, cp_gf, dspp_gf, scp_gf
+from test_series import geometric_reference
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -46,6 +47,7 @@ def test_counting_oracles_equal_products(delta, order):
 
 
 @PROPERTY_SETTINGS
-@given(st.dictionaries(st.integers(1, 40), st.integers(1, 6)), st.integers(0, 60))
+@given(st.dictionaries(st.integers(1, 40), st.integers(1, 6)), st.integers(0, 250))
 def test_expansion_strategies_agree(exponents, order):
-    assert _expand_euler(exponents, order) == _expand_passes(exponents, order)
+    # orders up to 250 reach three levels of packed blocks above the leaves
+    assert _expand(exponents, order) == geometric_reference(exponents, order)

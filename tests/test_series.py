@@ -1,5 +1,7 @@
+import gc
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -11,8 +13,8 @@ from planeparts.series import (
     TruncatedSeries,
     _classical_exponents,
     _expand,
-    _expand_euler,
-    _expand_passes,
+    _phi,
+    _psi,
     _raw_exponents,
     _spec_exponents,
     classical_gf,
@@ -22,14 +24,22 @@ from planeparts.series import (
     dspp_gf_unsimplified,
     dspp_product_spec,
     expand_product,
-    phi_series,
-    psi_series,
     scp_gf,
     scp_gf_unsimplified,
     scp_product_spec,
 )
 
 PARTITION_NUMBERS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135)
+
+
+def geometric_reference(exponents, order):
+    """Reference the kernel cannot share: one geometric pass per factor 1/(1 - z^e)."""
+    coeffs = [1] + [0] * order
+    for e in exponents:
+        for _ in range(exponents[e] if e <= order else 0):
+            for i in range(e, order + 1):
+                coeffs[i] += coeffs[i - e]
+    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -114,22 +124,22 @@ def test_expand_product_nonnegative_and_normalized():
 
 
 def test_phi_series_examples():
-    assert phi_series([4], 8).coeffs == tuple(1 if n % 4 == 0 else 0 for n in range(9))
-    assert phi_series([], 5) == TruncatedSeries.one(5)
-    assert phi_series([1, 2], 3).coeffs == (1, 1, 2, 3)
+    assert _expand(_phi([4], 8), 8) == [1 if n % 4 == 0 else 0 for n in range(9)]
+    assert _expand(_phi([], 5), 5) == [1, 0, 0, 0, 0, 0]
+    assert _expand(_phi([1, 2], 3), 3) == [1, 1, 2, 3]
+    phi = _expand(_phi([1, 2], 8), 8)
     for n in range(9):
-        assert phi_series([1, 2], 8)[n] == restricted_count(n, (1, 2, 3))
-    with pytest.raises(ValueError):
-        phi_series([0], 3)
+        assert phi[n] == restricted_count(n, (1, 2, 3))
 
 
 def test_psi_series_examples():
-    assert psi_series([2], [3], 10).coeffs == tuple(1 if n % 5 == 0 else 0 for n in range(11))
-    assert psi_series([], [1], 5) == TruncatedSeries.one(5)
-    assert psi_series([1], [], 5) == TruncatedSeries.one(5)
-    assert psi_series([1], [1, 2], 4).coeffs == (1, 0, 1, 1, 1)
+    assert _expand(_psi([2], [3], 10), 10) == [1 if n % 5 == 0 else 0 for n in range(11)]
+    assert _expand(_psi([], [1], 5), 5) == [1, 0, 0, 0, 0, 0]
+    assert _expand(_psi([1], [], 5), 5) == [1, 0, 0, 0, 0, 0]
+    assert _expand(_psi([1], [1, 2], 4), 4) == [1, 0, 1, 1, 1]
+    psi = _expand(_psi([1], [1, 2], 8), 8)
     for n in range(9):
-        assert psi_series([1], [1, 2], 8)[n] == restricted_count(n, (2, 3))
+        assert psi[n] == restricted_count(n, (2, 3))
 
 
 def test_dspp_gf_values():
@@ -245,40 +255,54 @@ def test_expansion_strategies_agree():
     for kind in CLASSICAL_KINDS:
         for order in list(range(61)) + [300]:
             exps = _classical_exponents(kind, order)
-            assert _expand_euler(exps, order) == _expand_passes(exps, order), (kind, order)
+            assert _expand(exps, order) == geometric_reference(exps, order), (kind, order)
     for delta in profiles_up_to(3):
         specs = [dspp_product_spec(delta), scp_product_spec(delta)]
         if len(delta) >= 1:
             specs.append(cp_product_spec(delta))
         for spec in specs:
             exps = _spec_exponents(spec, 200)
-            assert _expand_euler(exps, 200) == _expand_passes(exps, 200), (delta.text, spec)
+            assert _expand(exps, 200) == geometric_reference(exps, 200), (delta.text, spec)
         for symmetric in (False, True):
             exps = _raw_exponents(*_positions(delta, symmetric), 60)
-            assert _expand_euler(exps, 60) == _expand_passes(exps, 60), (delta.text, symmetric)
+            assert _expand(exps, 60) == geometric_reference(exps, 60), (delta.text, symmetric)
     for order in (0, 1, 7):
-        assert _expand_euler({}, order) == _expand_passes({}, order) == [1] + [0] * order
-        beyond = {order + 1: 3, order + 5: 1}
-        assert _expand_euler(beyond, order) == _expand_passes(beyond, order) == [1] + [0] * order
+        assert _expand({}, order) == [1] + [0] * order
+        assert _expand({order + 1: 3, order + 5: 1}, order) == [1] + [0] * order
 
 
-def test_expand_chooses_by_cost(monkeypatch):
-    # the classical maps cost the passes 30-81 times the recurrence and
-    # the profile products at most 1.84 times: both strategies give the
-    # same integers, so the choice shows only in which body runs
-    calls = []
-    for body in (_expand_euler, _expand_passes):
-        monkeypatch.setattr(
-            series, body.__name__, lambda e, n, body=body: calls.append(body.__name__) or body(e, n)
-        )
-    classical_gf("pp", 40)
-    dspp_gf(parse_profile("++-+-"), 200)
-    _expand({}, 0)
-    assert calls == ["_expand_euler", "_expand_passes", "_expand_passes"]
+def test_expand_runs_leaves_and_blocks(monkeypatch):
+    # at N = 300 the recursion packs blocks on three levels above leaves
+    # of at most _LEAF terms; both must run and agree with the reference
+    ranges = []
+    solve = series._solve
+    monkeypatch.setattr(
+        series, "_solve", lambda a, acc, c, lo, hi: ranges.append(hi - lo) or solve(a, acc, c, lo, hi)
+    )
+    exps = _spec_exponents(dspp_product_spec(parse_profile("++-+-")), 300)
+    assert _expand(exps, 300) == geometric_reference(exps, 300)
+    assert max(ranges) == 301 and min(ranges) <= series._LEAF
+    # (1 - z)^(-m) has coefficients C(m + n - 1, n): wide slots, every one of them full
+    m = 10**6
+    assert _expand({1: m}, 250) == [comb(m + n - 1, n) for n in range(251)]
+
+
+def test_expand_leaves_no_reference_cycle():
+    # a self-calling closure would be a cycle that keeps the coefficient
+    # lists alive until the cyclic collector runs; the kernel frees them
+    # by reference counting alone
+    exps = _spec_exponents(dspp_product_spec(parse_profile("+-+")), 300)
+    gc.collect()
+    gc.disable()
+    try:
+        _expand(exps, 300)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_euler_division_is_checked():
     # (1 - z)^(-1/2) has non-integer coefficients: the recurrence must
     # refuse them instead of truncating the quotient
     with pytest.raises(ArithmeticError):
-        _expand_euler({1: Fraction(1, 2)}, 3)
+        _expand({1: Fraction(1, 2)}, 3)
