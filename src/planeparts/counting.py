@@ -4,13 +4,15 @@ These counters never touch the product formulas in series.py.  They walk
 sequences of partitions interlacing according to the profile, with a
 transfer dynamic program: the state is the current boundary partition and
 the value is the vector of accumulated weights, truncated at the target
-order.  Each profile entry is one horizontal-strip step,
-partitions._strip_step, the same step the skew Schur checks in schur.py
-take once per letter; here the new partition lam carries weight
-z^{|lam|} (z^{2|lam|} past the first diagonal of an scp).  States whose
-minimal accumulated degree exceeds the order are dropped, and a new
-state lam is only proposed while its own weight still fits, on up and
-on down steps alike.
+order.  Each profile entry e is one horizontal-strip step (e == 1, 0, m)
+of partitions._walk, the same steps the skew Schur checks in schur.py
+take once per letter: the new partition lam carries weight z^{m*|lam|},
+m = 1 (m = 2 past the first diagonal of an scp).  A cylindric partition
+is a closed chain, lam^0 = lam^h, summed by partitions._trace; its last
+diagonal is lam^0 again and carries no weight of its own, so its
+closing step is (delta_h == 1, 0, 0).  States whose minimal accumulated
+degree exceeds the order are dropped, and a new state lam is only
+proposed while its own weight still fits, on up and on down steps alike.
 
 count_dspp_fillings is the one genuinely exponential oracle: it fills
 the staircase region cell by cell and exists to pin the diagonal-reading
@@ -21,13 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import (
-    _collect,
-    _shift_add,
-    _strip_step,
-    is_horizontal_strip,
-    partitions_up_to,
-)
+from .partitions import _collect, _trace, _walk, partitions_up_to
 from .profiles import Profile, region_cells
 
 FILLING_ORDER_BOUND = 8
@@ -52,56 +48,43 @@ class CountVector:
         return self.counts[n]
 
 
-def _initial_distribution(order):
-    """lam^0 free, weighted z^{|lam^0|}."""
-    dist = {}
-    for lam in partitions_up_to(order):
-        vec = [0] * (order + 1)
-        vec[lam.size] = 1
-        dist[lam] = vec
-    return dist
+def _parse(delta, order):
+    """The profile, once a negative order is refused with the kernel's message."""
+    if order < 0:
+        raise ValueError("order must be nonnegative, got %d" % order)
+    return Profile(delta)
 
 
-def _interlace(dist, delta, order, m):
-    """Step through the profile; each new state lam carries weight z^{m*|lam|}."""
-    for step in delta:
-        dist = _strip_step(dist, step == 1, order, 0, m)
-    return dist
+def _steps(delta, m):
+    """One strip step per profile entry; each new state lam weighs z^{m*|lam|}."""
+    return [(e == 1, 0, m) for e in delta]
+
+
+def _open_chains(delta, order, m):
+    """lam^0 free, weighted z^{|lam^0|}, walked through the profile."""
+    dist = {lam: [0] * lam.size + [1] + [0] * (order - lam.size)
+            for lam in partitions_up_to(order)}
+    return CountVector(order, _collect(_walk(dist, _steps(delta, m), order), order))
 
 
 def count_dspp(delta, order):
     """Number of interlacing sequences (lam^0..lam^h) per profile, by total size."""
-    dist = _interlace(_initial_distribution(order), Profile(delta), order, 1)
-    return CountVector(order, _collect(dist, order))
+    return _open_chains(_parse(delta, order), order, 1)
 
 
 def count_cp(delta, order):
     """Number of cylindric partitions by size: closed sequences lam^0 = lam^h,
     sized without the last diagonal."""
-    delta = Profile(delta)
-    h = len(delta)
-    if h < 1:
+    delta = _parse(delta, order)
+    if len(delta) < 1:
         raise ValueError("cylindric profiles need length >= 1")
-    out = [0] * (order + 1)
-    for beta in partitions_up_to(order):
-        vec = [0] * (order + 1)
-        vec[beta.size] = 1
-        dist = _interlace({beta: vec}, delta[:-1], order, 1)
-        last = delta[-1]
-        for mu, v in dist.items():
-            closes = (
-                is_horizontal_strip(beta, mu) if last == 1 else is_horizontal_strip(mu, beta)
-            )
-            if closes:
-                _shift_add(out, v, 0, order)
-    return CountVector(order, out)
+    return CountVector(order, _trace(_steps(delta[:-1], 1) + [(delta[-1] == 1, 0, 0)], order))
 
 
 def count_scp(delta, order):
     """Number of symmetric cylindric partitions by size: half-sequences
     interlacing per the profile, weighted z^{|lam^0| + 2 sum_{i>=1} |lam^i|}."""
-    dist = _interlace(_initial_distribution(order), Profile(delta), order, 2)
-    return CountVector(order, _collect(dist, order))
+    return _open_chains(_parse(delta, order), order, 2)
 
 
 def count_dspp_fillings(delta, order, order_bound=FILLING_ORDER_BOUND, window=None):
@@ -114,7 +97,7 @@ def count_dspp_fillings(delta, order, order_bound=FILLING_ORDER_BOUND, window=No
     which already contains every cell a nonzero value can reach; passing
     a larger one must not change the counts.
     """
-    delta = Profile(delta)
+    delta = _parse(delta, order)
     if order > order_bound:
         raise ValueError(
             "filling enumeration is exponential; order %d exceeds the bound %d"

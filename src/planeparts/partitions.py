@@ -6,12 +6,14 @@ encoding once and for all: a weakly decreasing tuple of positive parts,
 with no trailing zeros, so that equal partitions are equal tuples and can
 key dictionaries directly.
 
-It also owns the one transfer step built on that relation, _strip_step:
-a map from partitions to truncated coefficient vectors, moved across
-one horizontal strip.  The counting oracles and both sides of every
-skew Schur identity are chains of such steps.  The step turns the order
-into a window of sizes and asks the one enumerator, _strips, for the
-partners of mu in that window, in either direction.
+It also owns the one transfer built on that relation.  A chain is a
+list of (up, a, m) steps; _strip_step moves a map from partitions to
+truncated coefficient vectors across one of them, turning the order
+into a window of sizes and asking the one enumerator, _strips, for the
+partners of each state in that window, in either direction.  _walk
+takes a chain's steps in turn, and _trace sums a chain over its closed
+walks, lam^0 = lam^h.  The counting oracles and both sides of every
+skew Schur identity only say which steps their chains take.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def _strips(mu, up, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# the transfer step shared by the counting oracles and the identity sides
+# the transfer shared by the counting oracles and the identity sides
 
 
 def _min_degree(vec):
@@ -214,3 +216,31 @@ def _strip_step(dist, up, order, a, m, cap=None):
                 acc = ndist[lam] = [0] * (order + 1)
             _shift_add(acc, vec, base + k * lam.size, order)
     return ndist
+
+
+def _walk(dist, steps, order, cap=None):
+    """Take each (up, a, m) step of a chain in turn; up steps keep |lam| <= cap."""
+    for up, a, m in steps:
+        dist = _strip_step(dist, up, order, a, m, cap)
+    return dist
+
+
+def _trace(steps, order):
+    """The sum over beta of z^|beta| times the weight of the chains from beta back to beta.
+
+    Each beta walks all steps but the last, with vectors truncated at
+    order - |beta|.  The last step (up, a, m) is not taken: an end state
+    mu closes if mu and beta interlace in its direction, and adds its
+    vector shifted by |beta| + a*|strip| + m*|beta|.  So a closing step
+    may have zero weight, a == m == 0, which _strip_step cannot take; the
+    empty chain closes through such a step from beta to itself.
+    """
+    *body, (up, a, m) = steps or [(True, 0, 0)]
+    out = [0] * (order + 1)
+    for beta in partitions_up_to(order):
+        size = beta.size
+        sub = order - size
+        for mu, vec in _walk({beta: [1] + [0] * sub}, body, sub).items():
+            if is_horizontal_strip(beta, mu) if up else is_horizontal_strip(mu, beta):
+                _shift_add(out, vec, size + a * abs(size - mu.size) + m * size, order)
+    return out

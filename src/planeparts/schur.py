@@ -7,14 +7,16 @@ a truncation order.  Checking several independent specializations of a
 polynomial identity is a far stronger test than any finite set of
 hand-computed coefficients, while staying exact.
 
-Every sum over partitions here, on either side, is a walk: a map from
-partitions to truncated coefficient vectors, started at one partition or
-at all of them, moved through skew Schur factors, and then read at one
-partition or summed.  By the branching rule a skew Schur factor in k
-letters is a chain of k horizontal strips, one per letter, and the
-letter z^a weights its strip by z^(a*|strip|); so every factor is k
-calls of the one strip step, partitions._strip_step, which the counting
-oracles use as well.  All substituted exponents are >= 1, so every step
+Every sum over partitions here, on either side, is a chain of strip
+steps.  By the branching rule a skew Schur factor in k letters is a
+chain of k horizontal strips, one per letter, and the letter z^a
+weights its strip by z^(a*|strip|); so a factor in k letters is k steps
+(up, a, 0) of partitions._walk, the transfer the counting oracles use
+as well.  A walk is a map from partitions to truncated coefficient
+vectors, started at one partition or at all of them, moved through the
+steps, and then read at one partition or summed.  The cylindric and
+p94A left sides close the chain, lam^0 = lam^h, and are traces,
+partitions._trace.  All substituted exponents are >= 1, so every step
 costs at least its size change, which bounds the reachable states and
 makes the truncated sums finite.
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product as iter_product
 
-from .partitions import EMPTY, Partition, _collect, _shift_add, _strip_step, partitions_up_to
+from .partitions import EMPTY, Partition, _collect, _trace, _walk, partitions_up_to
 from .profiles import Profile, all_profiles
 from .series import TruncatedSeries, _expand, _phi, _psi
 
@@ -51,24 +53,15 @@ def _one(order):
     return [1] + [0] * order
 
 
-def _walk(dist, up, alphabet, order, cap=None):
-    """Multiply by s_{lam/mu}(alphabet): one strip step per letter.
-
-    Up walks move each state mu to every lam over it, keeping
-    |lam| <= cap when a cap is given; down walks move each lam to every
-    mu under it.
-    """
-    for a in alphabet:
-        dist = _strip_step(dist, up, order, a, 0, cap)
-    return dist
+def _letters(up, alphabet):
+    """The steps of s_{lam/mu}(alphabet): one strip per letter, up from mu
+    to lam or down from lam to mu."""
+    return [(up, a, 0) for a in alphabet]
 
 
-def _zigzag(dist, x_alphas, y_alphas, order, cap=None):
-    """Down by X^i, then up by Y^i, for each step i of the chain."""
-    for x_alpha, y_alpha in zip(x_alphas, y_alphas):
-        dist = _walk(dist, False, x_alpha, order)
-        dist = _walk(dist, True, y_alpha, order, cap)
-    return dist
+def _zigzag(x_alphas, y_alphas):
+    """The steps down by X^i, then up by Y^i, for each step i of the chain."""
+    return [s for x, y in zip(x_alphas, y_alphas) for s in _letters(False, x) + _letters(True, y)]
 
 
 def _at(dist, lam, order):
@@ -87,7 +80,7 @@ def skew_schur_z(lam, mu, alphabet, order):
     lam = Partition(lam)
     mu = Partition(mu)
     alphabet = _normalize_alphabet(alphabet)
-    dist = _walk({mu: _one(order)}, True, alphabet, order, lam.size)
+    dist = _walk({mu: _one(order)}, _letters(True, alphabet), order, lam.size)
     return TruncatedSeries(order, _at(dist, lam, order))
 
 
@@ -129,25 +122,13 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# left-hand sides
+# left-hand sides: the closed chains are _trace(_zigzag(...), order)
 
 
 def _complete_lhs(x_alphas, y_alphas, order):
     """Sum over every chain of the zigzag weights times z^|lam^h|."""
     dist = {lam: _one(order) for lam in partitions_up_to(order)}
-    return _collect(_zigzag(dist, x_alphas, y_alphas, order, order), order, 1)
-
-
-def _cylindric_lhs(x_alphas, y_alphas, order):
-    """Sum over every closed chain, lam^0 = lam^h, of the zigzag weights times z^|lam^h|."""
-    lhs = [0] * (order + 1)
-    for beta in partitions_up_to(order):
-        sub = order - beta.size
-        dist = _zigzag({beta: _one(sub)}, x_alphas, y_alphas, sub)
-        vec = dist.get(beta)
-        if vec is not None:
-            _shift_add(lhs, vec, beta.size, order)
-    return lhs
+    return _collect(_walk(dist, _zigzag(x_alphas, y_alphas), order, order), order, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +194,15 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
 
     if which == "cylindric":
         rhs = _expand(pair + _cylindric_exponents(x_all, y_all, order), order)
-        lhs = _cylindric_lhs(x_alphas, y_alphas, order)
+        lhs = _trace(_zigzag(x_alphas, y_alphas), order)
         return IdentityReport("cylindric", params, order, lhs, rhs)
 
     if which == "open":
         # rhs: psi pairs times sum_gamma s_{lam0/gamma}(X) s_{lamh/gamma}(Y)
         kernel = _expand(pair, order)
         lam0, lamh = (EMPTY, EMPTY) if endpoints is None else map(Partition, endpoints)
-        rhs = _zigzag({lam0: kernel}, (x_all,), (y_all,), order, lamh.size)
-        lhs = _zigzag({lam0: _one(order)}, x_alphas, y_alphas, order)
+        rhs = _walk({lam0: kernel}, _zigzag((x_all,), (y_all,)), order, lamh.size)
+        lhs = _walk({lam0: _one(order)}, _zigzag(x_alphas, y_alphas), order)
         params["endpoints"] = [list(lam0), list(lamh)]
         return IdentityReport("open", params, order, _at(lhs, lamh, order), _at(rhs, lamh, order))
 
@@ -305,9 +286,9 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
         kernel = _expand(_psi(x_alpha, y_alpha, order), order)
         # rho/lam and rho/mu cost |rho| - |lam| and |rho| - |mu| at least
         rho_max = max((order + lam.size + mu.size) // 2, lam.size, mu.size)
-        rho = _walk({lam: _one(order)}, True, x_alpha, order, rho_max)
-        lhs = _walk(rho, False, y_alpha, order)
-        rhs = _zigzag({lam: kernel}, (y_alpha,), (x_alpha,), order, mu.size)
+        steps = _letters(True, x_alpha) + _letters(False, y_alpha)
+        lhs = _walk({lam: _one(order)}, steps, order, rho_max)
+        rhs = _walk({lam: kernel}, _zigzag((y_alpha,), (x_alpha,)), order, mu.size)
         params = {
             "x_alphabet": list(x_alpha),
             "y_alphabet": list(y_alpha),
@@ -319,14 +300,14 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
     if which == "p93B":
         nu = Partition(nu)
         kernel = _expand(_phi(x_alpha, order), order)
-        lhs = _collect(_walk({nu: _one(order)}, True, x_alpha, order), order)
-        rhs = _collect(_walk({nu: kernel}, False, x_alpha, order), order)
+        lhs = _collect(_walk({nu: _one(order)}, _letters(True, x_alpha), order), order)
+        rhs = _collect(_walk({nu: kernel}, _letters(False, x_alpha), order), order)
         params = {"x_alphabet": list(x_alpha), "nu": list(nu)}
         return IdentityReport("p93B", params, order, lhs, rhs)
 
     if which == "p94A":
         rhs = _expand(_cylindric_exponents(x_alpha, y_alpha, order), order)
-        lhs = _cylindric_lhs((x_alpha,), (y_alpha,), order)
+        lhs = _trace(_zigzag((x_alpha,), (y_alpha,)), order)
         params = {"x_alphabet": list(x_alpha), "y_alphabet": list(y_alpha)}
         return IdentityReport("p94A", params, order, lhs, rhs)
 
@@ -341,9 +322,10 @@ LEMMA_ALPHABETS = ((), (1,), (2,), (1, 1), (1, 2), (2, 2))
 PAIR_ALPHABETS = ((), (1,), (2,), (1, 2))
 MACDONALD_OUTER = ((), (1,), (2, 1), (1, 1))
 OPEN_ENDPOINTS = (((), ()), ((1,), (1,)), ((2,), (1, 1)))
+EXPONENT_CHOICES = (1, 2)
 
 
-def battery_cases(max_len=3, order=8, exponent_choices=(1, 2)):
+def battery_cases(max_len=3, order=8):
     """The deterministic list of identity checks, as zero-argument callables
     that each run one check and return its IdentityReport."""
     if max_len < 0:
@@ -351,7 +333,7 @@ def battery_cases(max_len=3, order=8, exponent_choices=(1, 2)):
     cases = []
     for h in range(1, max_len + 1):
         for delta in all_profiles(h):
-            for exps in iter_product(exponent_choices, repeat=h):
+            for exps in iter_product(EXPONENT_CHOICES, repeat=h):
                 for which in ("complete", "cylindric"):
                     cases.append(
                         (lambda w=which, d=delta, e=exps: verify_summation(w, d, e, order=order))
@@ -412,7 +394,7 @@ def battery_cases(max_len=3, order=8, exponent_choices=(1, 2)):
     return cases
 
 
-def run_battery(max_len=3, order=8, exponent_choices=(1, 2), inject_fault=None):
+def run_battery(max_len=3, order=8, inject_fault=None):
     """Run the identity battery; returns the list of IdentityReport.
 
     inject_fault, if given, corrupts the left side of the case with that
@@ -420,7 +402,7 @@ def run_battery(max_len=3, order=8, exponent_choices=(1, 2), inject_fault=None):
     tested end to end.
     """
     reports = []
-    for idx, case in enumerate(battery_cases(max_len, order, exponent_choices)):
+    for idx, case in enumerate(battery_cases(max_len, order)):
         report = case()
         if inject_fault is not None and idx == inject_fault:
             tampered = list(report.lhs)

@@ -122,7 +122,7 @@ def test_classical_series_at_scale():
 
 def test_criterion_4_summation_identity_battery():
     t0 = time.time()
-    reports = run_battery(max_len=3, order=8, exponent_choices=(1, 2))
+    reports = run_battery(max_len=3, order=8)
     ok = len(reports) > 0 and all(r.passed for r in reports)
     report(4, "summation-identity battery (%d cases)" % len(reports), ok, t0, 120)
 

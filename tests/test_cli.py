@@ -88,6 +88,13 @@ def test_cp_empty_profile_is_usage_error():
             code, _ = run_cli(argv)
         assert code == 2, argv
         assert err.getvalue().startswith("error:"), argv
+    # the counting oracles refuse them with the kernel's message
+    for family in ("dspp", "cp", "scp"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run_cli(["count", "--family", family, "--profile", "++", "--order", "-1"])
+        assert code == 2, family
+        assert err.getvalue() == "error: order must be nonnegative, got -1\n", family
 
 
 def test_asym_json():

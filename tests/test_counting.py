@@ -168,6 +168,9 @@ def test_fillings_refusals():
         count_dspp_fillings(parse_profile("+-"), 9)
     with pytest.raises(ValueError):
         count_dspp_fillings(parse_profile(""), 4)
+    # a negative order gets the expansion kernel's message
+    with pytest.raises(ValueError, match=r"^order must be nonnegative, got -1$"):
+        count_dspp_fillings(parse_profile("+-"), -1)
     # explicit larger bound is allowed
     v = count_dspp_fillings(parse_profile("-"), 9, order_bound=9)
     assert v.counts == count_dspp(parse_profile("-"), 9).counts

@@ -5,6 +5,7 @@ from planeparts.partitions import (
     Partition,
     _strip_step,
     _strips,
+    _trace,
     is_horizontal_strip,
     partitions_of,
     partitions_up_to,
@@ -167,3 +168,38 @@ def test_strip_step_equals_reference_step():
             for cap in (None, 3):
                 got = _strip_step(dist, up, order, a, m, cap)
                 assert got == reference_step(dist, up, order, a, m, cap), (a, m, up, cap)
+
+
+def reference_trace(steps, order):
+    """The trace by brute force: every beta takes every step, the last one
+    too, and is read back at beta."""
+    out = [0] * (order + 1)
+    for beta in partitions_up_to(order):
+        sub = order - beta.size
+        dist = {beta: [1] + [0] * sub}
+        for up, a, m in steps:
+            dist = reference_step(dist, up, sub, a, m) if dist else dist
+        for d, c in enumerate(dist.get(beta, ())):
+            out[beta.size + d] += c
+    return out
+
+
+def test_trace_equals_reference_trace():
+    chains = (
+        [],
+        [(True, 1, 0)],
+        [(False, 1, 0)],
+        [(False, 1, 0), (True, 1, 0)],
+        # strip-weighted, ending up and ending down
+        [(False, 2, 0), (True, 1, 0), (False, 1, 0), (True, 3, 0)],
+        [(True, 1, 0), (False, 3, 0), (True, 1, 0), (False, 2, 0)],
+        # state-weighted, closing with no weight as a cylindric partition does
+        [(True, 0, 1), (False, 0, 2), (True, 0, 0)],
+        [(False, 0, 1), (True, 0, 1), (False, 0, 0)],
+        [(True, 0, 2), (True, 0, 1), (False, 0, 1), (False, 0, 0)],
+        # state-weighted closing step
+        [(False, 0, 1), (True, 0, 1)],
+    )
+    for order in (6, 7):
+        for steps in chains:
+            assert _trace(steps, order) == reference_trace(steps, order), (order, steps)
