@@ -13,6 +13,10 @@ diagonal is lam^0 again and carries no weight of its own, so its
 closing step is (delta_h == 1, 0, 0).  States whose minimal accumulated
 degree exceeds the order are dropped, and a new state lam is only
 proposed while its own weight still fits, on up and on down steps alike.
+partitions keeps each vector as one int with W-bit slots, W proven from
+the chain's length and the order (partitions._width); this module sees
+only lists.  The vectors' bytes are estimated before a walk starts, and
+an order whose estimate passes VECTOR_BUDGET is refused with ValueError.
 
 count_dspp_fillings is the one genuinely exponential oracle: it fills
 the staircase region cell by cell and exists to pin the diagonal-reading
@@ -23,10 +27,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import _collect, _trace, _walk, partitions_up_to
+from .partitions import _collect, _trace, _vector_bytes, _walk, partitions_up_to
 from .profiles import Profile, region_cells
 
 FILLING_ORDER_BOUND = 8
+# The most bytes of packed state vectors a counting walk may hold,
+# estimated before it starts as P(order) * (order + 1) * W/8 (one vector
+# per partition of size <= order; W from partitions._width).  The whole
+# process takes about three to four times the estimate: dspp "++" at
+# order 46 (estimate 232 MB, the largest order accepted for it) peaks at
+# 736 MB, and the empty profile at order 51 (229 MB) at 1031 MB.
+VECTOR_BUDGET = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -60,11 +71,31 @@ def _steps(delta, m):
     return [(e == 1, 0, m) for e in delta]
 
 
+def _guard(steps, order):
+    """Refuse a walk whose state vectors would pass VECTOR_BUDGET bytes.
+
+    The estimate grows with the order, so it is taken at each order up
+    to this one: a huge order is refused at the first order over the
+    budget, without counting the partitions of its own size.
+    """
+    for n in range(order + 1):
+        if _vector_bytes(len(steps), n) > VECTOR_BUDGET:
+            raise ValueError(
+                "order %d needs more than the %d MB of state vectors the counting "
+                "oracles allow for a profile of length %d" % (order, VECTOR_BUDGET >> 20, len(steps))
+            )
+    return steps
+
+
 def _open_chains(delta, order, m):
-    """lam^0 free, weighted z^{|lam^0|}, walked through the profile."""
-    dist = {lam: [0] * lam.size + [1] + [0] * (order - lam.size)
-            for lam in partitions_up_to(order)}
-    return CountVector(order, _collect(_walk(dist, _steps(delta, m), order), order))
+    """lam^0 free, weighted z^{|lam^0|}, walked through the profile.
+
+    A new state costs m*|lam| >= |lam|, so no state outgrows the order:
+    the cap changes no count and only narrows the walk's slot width.
+    """
+    steps = _guard(_steps(delta, m), order)
+    starts = {lam: lam.size for lam in partitions_up_to(order)}
+    return CountVector(order, _collect(_walk(starts, steps, order, order), order))
 
 
 def count_dspp(delta, order):
@@ -78,7 +109,8 @@ def count_cp(delta, order):
     delta = _parse(delta, order)
     if len(delta) < 1:
         raise ValueError("cylindric profiles need length >= 1")
-    return CountVector(order, _trace(_steps(delta[:-1], 1) + [(delta[-1] == 1, 0, 0)], order))
+    steps = _guard(_steps(delta[:-1], 1) + [(delta[-1] == 1, 0, 0)], order)
+    return CountVector(order, _trace(steps, order))
 
 
 def count_scp(delta, order):

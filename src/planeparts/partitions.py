@@ -14,6 +14,12 @@ partners of each state in that window, in either direction.  _walk
 takes a chain's steps in turn, and _trace sums a chain over its closed
 walks, lam^0 = lam^h.  The counting oracles and both sides of every
 skew Schur identity only say which steps their chains take.
+
+Inside the transfer a coefficient vector c_0..c_order is one int with
+W-bit slots, sum_d c_d << d*W, so a move is one shift and one mask.  W
+is fixed per walk from a proven bound on its coefficients (_width) and
+never widened; _collect, _at and _trace unpack at the end, so callers
+see only lists.
 """
 
 from __future__ import annotations
@@ -153,32 +159,53 @@ def _strips(mu, up, lo, hi):
 # the transfer shared by the counting oracles and the identity sides
 
 
-def _min_degree(vec):
-    for d, c in enumerate(vec):
-        if c:
-            return d
-    return None
+@lru_cache(maxsize=None)
+def _partition_count(n):
+    """The number of partitions of size <= n (p(k) built up part size by part size)."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            p[k] += p[k - part]
+    return sum(p)
 
 
-def _shift_add(dst, src, shift, order):
-    """dst += z^shift * src, truncated at order."""
-    for d, c in enumerate(src[: max(order + 1 - shift, 0)], shift):
-        if c:
-            dst[d] += c
+def _width(top, size, nsteps):
+    """Slot bits, in whole bytes, that hold every coefficient of a walk.
+
+    The walk takes nsteps steps from start coefficients of at most top,
+    and every state it reaches has size <= size.  A step lists each lam
+    at most once per state mu, so it multiplies the largest coefficient
+    by at most P(size), the number of partitions of size <= size.  A
+    final sum over states is one factor more: _collect's, or for a
+    trace, whose closing counts as a step, the sum over every beta.  So
+    every value the walk holds is at most top * P(size)^(nsteps+1), and
+    one bit more keeps a slot from ever filling.
+    """
+    bits = (top * _partition_count(size) ** (nsteps + 1)).bit_length() + 1
+    return -(-bits // 8) * 8
 
 
-def _collect(dist, order, m=0):
-    """The sum over all states lam of z^(m*|lam|) times their vectors."""
-    out = [0] * (order + 1)
-    for lam, vec in dist.items():
-        _shift_add(out, vec, m * lam.size, order)
-    return out
+def _vector_bytes(nsteps, order):
+    """The bytes of a counting walk's state vectors: one per partition of
+    size <= order, each of order + 1 slots."""
+    return _partition_count(order) * (order + 1) * _width(1, order, nsteps) // 8
 
 
-def _strip_step(dist, up, order, a, m, cap=None):
+def _pack(vec, width):
+    nbytes = width // 8
+    return int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in vec), "little")
+
+
+def _unpack(v, width, order):
+    nbytes = width // 8
+    raw = v.to_bytes((order + 1) * nbytes, "little")
+    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+
+
+def _strip_step(dist, up, order, a, m, width, cap=None):
     """One single-letter horizontal-strip step of a transfer over partitions.
 
-    dist maps each state mu to its coefficient vector, truncated at order.
+    dist maps each state mu to its packed vector, truncated at order.
     Every mu moves to each lam with mu ≺ lam (up) or lam ≺ mu (down), and
     the move multiplies by z^(a*|strip| + m*|lam|).  Up moves keep
     |lam| <= cap when a cap is given.  Callers weigh either the strip or
@@ -186,12 +213,13 @@ def _strip_step(dist, up, order, a, m, cap=None):
     weight is then monotone in |lam|, so the moves whose weight fits the
     order are those with |lam| in one window, and only they are made.
     """
+    full = (1 << (order + 1) * width) - 1
     ndist = {}
-    for mu, vec in dist.items():
-        mind = _min_degree(vec)
-        if mind is None:
+    get = ndist.get
+    for mu, v in dist.items():
+        if not v:
             continue
-        budget = order - mind
+        budget = order - ((v & -v).bit_length() - 1) // width
         size = mu.size
         if up:
             # the weight is (a+m)|lam| - a|mu|
@@ -210,37 +238,68 @@ def _strip_step(dist, up, order, a, m, cap=None):
             base, k = a * size, m - a
         if lo > hi:  # no move fits; asking would only fill the cache
             continue
+        base, k = base * width, k * width
         for lam in _strips(mu, up, lo, hi):
-            acc = ndist.get(lam)
-            if acc is None:
-                acc = ndist[lam] = [0] * (order + 1)
-            _shift_add(acc, vec, base + k * lam.size, order)
+            ndist[lam] = get(lam, 0) + ((v << base + k * lam._size) & full)
     return ndist
 
 
-def _walk(dist, steps, order, cap=None):
-    """Take each (up, a, m) step of a chain in turn; up steps keep |lam| <= cap."""
+def _walk(starts, steps, order, cap=None, kernel=None):
+    """Take each (up, a, m) step of a chain in turn; up steps keep |lam| <= cap.
+
+    starts maps each start state to its degree d; it starts at z^d, times
+    the kernel (a coefficient list, nonnegative) when one is given.  An
+    up step costs at least its strip and no weight is negative, so every
+    state has size <= max start size + order, or <= the cap.  Returns
+    what _collect and _at read.
+    """
+    biggest = max(lam.size for lam in starts)
+    size = biggest + order if cap is None else min(biggest + order, max(biggest, cap))
+    width = _width(max(kernel) if kernel else 1, size, len(steps))
+    unit = _pack(kernel, width) if kernel else 1
+    full = (1 << (order + 1) * width) - 1
+    dist = {lam: (unit << d * width) & full for lam, d in starts.items()}
     for up, a, m in steps:
-        dist = _strip_step(dist, up, order, a, m, cap)
-    return dist
+        dist = _strip_step(dist, up, order, a, m, width, cap)
+    return dist, width
+
+
+def _collect(walked, order, m=0):
+    """The sum over all states lam of z^(m*|lam|) times their vectors."""
+    dist, width = walked
+    full = (1 << (order + 1) * width) - 1
+    total = sum((v << m * lam.size * width) & full for lam, v in dist.items())
+    return _unpack(total, width, order)
+
+
+def _at(walked, lam, order):
+    """The vector of state lam."""
+    dist, width = walked
+    return _unpack(dist.get(lam, 0), width, order)
 
 
 def _trace(steps, order):
     """The sum over beta of z^|beta| times the weight of the chains from beta back to beta.
 
-    Each beta walks all steps but the last, with vectors truncated at
-    order - |beta|.  The last step (up, a, m) is not taken: an end state
-    mu closes if mu and beta interlace in its direction, and adds its
-    vector shifted by |beta| + a*|strip| + m*|beta|.  So a closing step
-    may have zero weight, a == m == 0, which _strip_step cannot take; the
-    empty chain closes through such a step from beta to itself.
+    Each beta starts at z^|beta| and walks all steps but the last.  The
+    last step (up, a, m) is not taken: an end state mu closes if mu and
+    beta interlace in its direction, and adds its vector shifted by
+    a*|strip| + m*|beta|.  So a closing step may have zero weight,
+    a == m == 0, which _strip_step cannot take; the empty chain closes
+    through such a step from beta to itself.  Every state has size
+    <= order, and one width serves every beta, so the closing vectors
+    are summed packed.
     """
     *body, (up, a, m) = steps or [(True, 0, 0)]
-    out = [0] * (order + 1)
+    width = _width(1, order, len(body) + 1)
+    full = (1 << (order + 1) * width) - 1
+    total = 0
     for beta in partitions_up_to(order):
         size = beta.size
-        sub = order - size
-        for mu, vec in _walk({beta: [1] + [0] * sub}, body, sub).items():
+        dist = {beta: 1 << size * width}
+        for b_up, b_a, b_m in body:
+            dist = _strip_step(dist, b_up, order, b_a, b_m, width)
+        for mu, v in dist.items():
             if is_horizontal_strip(beta, mu) if up else is_horizontal_strip(mu, beta):
-                _shift_add(out, vec, size + a * abs(size - mu.size) + m * size, order)
-    return out
+                total += (v << (a * abs(size - mu.size) + m * size) * width) & full
+    return _unpack(total, width, order)

@@ -12,9 +12,13 @@ steps.  By the branching rule a skew Schur factor in k letters is a
 chain of k horizontal strips, one per letter, and the letter z^a
 weights its strip by z^(a*|strip|); so a factor in k letters is k steps
 (up, a, 0) of partitions._walk, the transfer the counting oracles use
-as well.  A walk is a map from partitions to truncated coefficient
-vectors, started at one partition or at all of them, moved through the
-steps, and then read at one partition or summed.  The cylindric and
+as well.  A walk starts at one partition or at all of them, each at a
+power of z, moves through the steps, and is then read at one partition
+(partitions._at) or summed (partitions._collect).  partitions keeps its
+truncated coefficient vectors as ints with W-bit slots, W proven per
+walk from the chain's length, the order and the largest start
+coefficient; this module passes start degrees and kernel lists and
+reads back lists.  The cylindric and
 p94A left sides close the chain, lam^0 = lam^h, and are traces,
 partitions._trace.  All substituted exponents are >= 1, so every step
 costs at least its size change, which bounds the reachable states and
@@ -29,7 +33,7 @@ and the geometric factors 1/(1-z^k).  Each product part is compiled to
 a truncated exponent map (series._phi, series._psi and the builders
 below) and expanded by the one kernel the generating functions use,
 series._expand.  Where a right-hand side also has a sum over partitions,
-the walk starts from the expanded product instead of from 1.
+the walk starts from the expanded product (its kernel) instead of from 1.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product as iter_product
 
-from .partitions import EMPTY, Partition, _collect, _trace, _walk, partitions_up_to
+from .partitions import EMPTY, Partition, _at, _collect, _trace, _walk, partitions_up_to
 from .profiles import Profile, all_profiles
 from .series import TruncatedSeries, _expand, _phi, _psi
 
@@ -47,10 +51,6 @@ def _normalize_alphabet(alpha):
     if any(a < 1 for a in exps):
         raise ValueError("alphabet exponents must be >= 1")
     return exps
-
-
-def _one(order):
-    return [1] + [0] * order
 
 
 def _letters(up, alphabet):
@@ -64,11 +64,6 @@ def _zigzag(x_alphas, y_alphas):
     return [s for x, y in zip(x_alphas, y_alphas) for s in _letters(False, x) + _letters(True, y)]
 
 
-def _at(dist, lam, order):
-    vec = dist.get(lam)
-    return [0] * (order + 1) if vec is None else vec
-
-
 def skew_schur_z(lam, mu, alphabet, order):
     """The skew Schur function s_{lam/mu} under x_t -> z^(a_t), truncated.
 
@@ -80,8 +75,8 @@ def skew_schur_z(lam, mu, alphabet, order):
     lam = Partition(lam)
     mu = Partition(mu)
     alphabet = _normalize_alphabet(alphabet)
-    dist = _walk({mu: _one(order)}, _letters(True, alphabet), order, lam.size)
-    return TruncatedSeries(order, _at(dist, lam, order))
+    walked = _walk({mu: 0}, _letters(True, alphabet), order, lam.size)
+    return TruncatedSeries(order, _at(walked, lam, order))
 
 
 class IdentityReport:
@@ -127,8 +122,8 @@ class IdentityReport:
 
 def _complete_lhs(x_alphas, y_alphas, order):
     """Sum over every chain of the zigzag weights times z^|lam^h|."""
-    dist = {lam: _one(order) for lam in partitions_up_to(order)}
-    return _collect(_walk(dist, _zigzag(x_alphas, y_alphas), order, order), order, 1)
+    starts = dict.fromkeys(partitions_up_to(order), 0)
+    return _collect(_walk(starts, _zigzag(x_alphas, y_alphas), order, order), order, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +196,8 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
         # rhs: psi pairs times sum_gamma s_{lam0/gamma}(X) s_{lamh/gamma}(Y)
         kernel = _expand(pair, order)
         lam0, lamh = (EMPTY, EMPTY) if endpoints is None else map(Partition, endpoints)
-        rhs = _walk({lam0: kernel}, _zigzag((x_all,), (y_all,)), order, lamh.size)
-        lhs = _walk({lam0: _one(order)}, _zigzag(x_alphas, y_alphas), order)
+        rhs = _walk({lam0: 0}, _zigzag((x_all,), (y_all,)), order, lamh.size, kernel)
+        lhs = _walk({lam0: 0}, _zigzag(x_alphas, y_alphas), order)
         params["endpoints"] = [list(lam0), list(lamh)]
         return IdentityReport("open", params, order, _at(lhs, lamh, order), _at(rhs, lamh, order))
 
@@ -287,8 +282,8 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
         # rho/lam and rho/mu cost |rho| - |lam| and |rho| - |mu| at least
         rho_max = max((order + lam.size + mu.size) // 2, lam.size, mu.size)
         steps = _letters(True, x_alpha) + _letters(False, y_alpha)
-        lhs = _walk({lam: _one(order)}, steps, order, rho_max)
-        rhs = _walk({lam: kernel}, _zigzag((y_alpha,), (x_alpha,)), order, mu.size)
+        lhs = _walk({lam: 0}, steps, order, rho_max)
+        rhs = _walk({lam: 0}, _zigzag((y_alpha,), (x_alpha,)), order, mu.size, kernel)
         params = {
             "x_alphabet": list(x_alpha),
             "y_alphabet": list(y_alpha),
@@ -300,8 +295,8 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
     if which == "p93B":
         nu = Partition(nu)
         kernel = _expand(_phi(x_alpha, order), order)
-        lhs = _collect(_walk({nu: _one(order)}, _letters(True, x_alpha), order), order)
-        rhs = _collect(_walk({nu: kernel}, _letters(False, x_alpha), order), order)
+        lhs = _collect(_walk({nu: 0}, _letters(True, x_alpha), order), order)
+        rhs = _collect(_walk({nu: 0}, _letters(False, x_alpha), order, kernel=kernel), order)
         params = {"x_alphabet": list(x_alpha), "nu": list(nu)}
         return IdentityReport("p93B", params, order, lhs, rhs)
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 from planeparts import cli
 from planeparts.cli import main
@@ -95,6 +96,16 @@ def test_cp_empty_profile_is_usage_error():
             code, _ = run_cli(["count", "--family", family, "--profile", "++", "--order", "-1"])
         assert code == 2, family
         assert err.getvalue() == "error: order must be nonnegative, got -1\n", family
+    # orders whose state vectors would pass the counting budget are
+    # refused before the walk starts, not ended by the OOM killer
+    for family, order in (("dspp", "50"), ("dspp", "60"), ("cp", "60"), ("scp", "60")):
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err):
+            code, _ = run_cli(["count", "--family", family, "--profile", "++", "--order", order])
+        assert time.perf_counter() - start < 1, (family, order)
+        assert code == 2, (family, order)
+        assert err.getvalue().startswith("error:"), (family, order)
 
 
 def test_asym_json():

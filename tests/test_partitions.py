@@ -1,15 +1,23 @@
 import pytest
 
+from planeparts.counting import _steps
 from planeparts.partitions import (
     EMPTY,
     Partition,
+    _collect,
+    _pack,
     _strip_step,
     _strips,
     _trace,
+    _unpack,
+    _walk,
+    _width,
     is_horizontal_strip,
     partitions_of,
     partitions_up_to,
 )
+from planeparts.schur import _letters, _pair_exponents, _zigzag
+from planeparts.series import _expand, _phi
 
 
 def brute_partitions(n, cap=None):
@@ -136,12 +144,13 @@ def test_strips_equal_filter_oracle():
                     assert set(got) == expect, (mu, up, lo, hi)
 
 
-def reference_step(dist, up, order, a, m, cap=None):
-    """The strip step by brute force: every partition is a candidate."""
+def reference_step(dist, up, order, a, m, cap=None, candidates=None):
+    """The strip step by brute force: every partition is a candidate,
+    unless candidates(mu) names fewer."""
     largest = max(mu.size for mu in dist) + order
     out = {}
     for mu, vec in dist.items():
-        for lam in partitions_up_to(largest):
+        for lam in partitions_up_to(largest) if candidates is None else candidates(mu):
             if up:
                 if not is_horizontal_strip(lam, mu) or (cap is not None and lam.size > cap):
                     continue
@@ -163,10 +172,14 @@ def test_strip_step_equals_reference_step():
         # minimal degrees 0..order+1 (the last one an all-zero vector)
         mind = i % (order + 2)
         dist[mu] = [0] * mind + [1 + (d + i) % 3 for d in range(order + 1 - mind)]
+    # every coefficient stays below 3 * 12 states, well inside 16 bits
+    width = 16
     for a, m in ((0, 1), (0, 2), (1, 0), (2, 0), (3, 0)):
         for up in (True, False):
             for cap in (None, 3):
-                got = _strip_step(dist, up, order, a, m, cap)
+                packed = {mu: _pack(vec, width) for mu, vec in dist.items()}
+                got = _strip_step(packed, up, order, a, m, width, cap)
+                got = {lam: _unpack(v, width, order) for lam, v in got.items()}
                 assert got == reference_step(dist, up, order, a, m, cap), (a, m, up, cap)
 
 
@@ -203,3 +216,62 @@ def test_trace_equals_reference_trace():
     for order in (6, 7):
         for steps in chains:
             assert _trace(steps, order) == reference_trace(steps, order), (order, steps)
+
+
+def packed_against_lists(starts, steps, order, cap=None, kernel=None, m=0):
+    """Walk starts (state -> degree, times the kernel) packed and as lists
+    of reference steps, compare the states and the final sum weighted
+    z^(m*|lam|), and return the walk's width and the largest coefficient
+    the lists reached.  The list steps take each state's partners from
+    _strips, checked against the filter oracle above, since every
+    partition up to twice the order would be too many candidates."""
+    unit = list(kernel or [1])
+    dist = {lam: ([0] * d + unit + [0] * order)[: order + 1] for lam, d in starts.items()}
+    top = max(max(vec) for vec in dist.values())
+
+    def candidates(mu, up):
+        # every partner reference_step would keep: going up, to the cap
+        return _strips(mu, up, 0, mu.size if not up else mu.size + order if cap is None else cap)
+
+    for up, a, k in steps:
+        dist = reference_step(dist, up, order, a, k, cap, lambda mu, up=up: candidates(mu, up))
+        top = max([top] + [max(vec) for vec in dist.values()])
+    walked = _walk(starts, steps, order, cap, kernel)
+    packed, width = walked
+    assert {lam: _unpack(v, width, order) for lam, v in packed.items()} == dist
+    total = [0] * (order + 1)
+    for lam, vec in dist.items():
+        for d in range(m * lam.size, order + 1):
+            total[d] += vec[d - m * lam.size]
+    assert _collect(walked, order, m) == total
+    return width, max([top] + total)
+
+
+def test_width_holds_the_worst_cases():
+    order = 10
+    two = ((1, 2), (1, 2))
+    chain = _zigzag(two, two)
+    cases = [
+        # the largest start coefficients: the open right-hand side's psi
+        # pairs over two-letter alphabets, and p93B's kernel phi((1, 2))
+        ({Partition((1,)): 0}, _zigzag(((1, 2, 1, 2),), ((1, 2, 1, 2),)), order, 1,
+         _expand(_pair_exponents(two, two, order), order), 0),
+        ({Partition((2, 1)): 0}, _letters(False, (1, 2)), order, None,
+         _expand(_phi((1, 2), order), order), 0),
+        # the longest battery chain, four diagonals of two letters each
+        # (profile -+-+), as the complete left side: every start, summed
+        # weighted z^|lam|
+        ({lam: 0 for lam in partitions_up_to(order)}, chain, order, order, None, 1),
+    ]
+    # the counting oracles' longest walks in the benchmark
+    for m in (1, 2):
+        cases.append(({lam: lam.size for lam in partitions_up_to(21)}, _steps((1, -1, 1), m),
+                      21, 21, None, 0))
+    for starts, steps, n, cap, kernel, m in cases:
+        width, top = packed_against_lists(starts, steps, n, cap, kernel, m)
+        assert 0 < top < 1 << (width - 1), (steps, width, top)
+    # the same chain closed, as the cylindric left side (order 8: the
+    # brute-force trace takes ten times longer at order 10)
+    got = _trace(chain, 8)
+    assert got == reference_trace(chain, 8)
+    assert max(got) < 1 << (_width(1, 8, len(chain)) - 1)
