@@ -14,6 +14,7 @@ codes: 0 on success, 1 when a verification case fails, 2 on usage errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -205,7 +206,10 @@ def cmd_table(args, out):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: each parse_args returns a
+    fresh Namespace, and no command mutates a default it reads from it."""
     parser = argparse.ArgumentParser(
         prog="planeparts",
         description="Exact enumeration, product expansions, identity checks and "
@@ -255,8 +259,7 @@ def main(argv=None):
     # end-of-options marker), which is also a valid profile; rewrite it
     # to the equivalent comma form before parsing.
     argv = ["--profile=-1,-1" if tok == "--profile=--" else tok for tok in argv]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except ValueError as exc:

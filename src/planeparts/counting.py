@@ -34,9 +34,9 @@ FILLING_ORDER_BOUND = 8
 # The most bytes of packed state vectors a counting walk may hold,
 # estimated before it starts as P(order) * (order + 1) * W/8 (one vector
 # per partition of size <= order; W from partitions._width).  The whole
-# process takes about three to four times the estimate: dspp "++" at
+# process takes about two to three times the estimate: dspp "++" at
 # order 46 (estimate 232 MB, the largest order accepted for it) peaks at
-# 736 MB, and the empty profile at order 51 (229 MB) at 1031 MB.
+# 488 MB, and the empty profile at order 51 (229 MB) at 736 MB.
 VECTOR_BUDGET = 256 << 20
 
 

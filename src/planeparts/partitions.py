@@ -4,7 +4,12 @@ Everything downstream works with sequences of partitions in which adjacent
 terms differ by a horizontal strip, so this module fixes the partition
 encoding once and for all: a weakly decreasing tuple of positive parts,
 with no trailing zeros, so that equal partitions are equal tuples and can
-key dictionaries directly.
+key dictionaries directly.  Only the public constructor Partition(parts)
+checks that encoding; the enumerators here, partitions_of and _strips,
+produce valid parts by construction and build theirs with
+tuple.__new__(Partition, parts), which skips the check.  A Partition
+has no instance dict, and partitions_of builds each size's partitions
+once per process, so every transfer state is one small tuple.
 
 It also owns the one transfer built on that relation.  A chain is a
 list of (up, a, m) steps; _strip_step moves a map from partitions to
@@ -32,7 +37,12 @@ class Partition(tuple):
 
     The empty partition is ``Partition()``.  Instances behave as plain
     tuples (hashable, comparable) and render as ``[5,2,1]`` / ``[]``.
+    Partition(parts) raises ValueError on bad parts; the enumerators of
+    this module build instances with tuple.__new__, unchecked, from parts
+    valid by construction.
     """
+
+    __slots__ = ()
 
     def __new__(cls, parts=()):
         t = tuple(parts)
@@ -43,14 +53,12 @@ class Partition(tuple):
             if prev is not None and p > prev:
                 raise ValueError("partition parts must be weakly decreasing, got %r" % (t,))
             prev = p
-        self = super().__new__(cls, t)
-        self._size = sum(t)
-        return self
+        return super().__new__(cls, t)
 
     @property
     def size(self):
         """Sum of the parts."""
-        return self._size
+        return sum(self)
 
     def __str__(self):
         return "[%s]" % ",".join(str(p) for p in self)
@@ -79,19 +87,26 @@ def is_horizontal_strip(lam, mu):
     return True
 
 
+@lru_cache(maxsize=None)
 def partitions_of(n):
-    """Yield the partitions of exactly n in descending lexicographic order."""
+    """The partitions of exactly n in descending lexicographic order.
+
+    A tuple, built once per process: every caller of one size shares
+    the same Partition objects.
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a nonnegative integer, got %r" % (n,))
     if n == 0:
-        yield EMPTY
-        return
+        return (EMPTY,)
+    out = []
     a = [n]
     while True:
-        yield Partition(a)
+        out.append(tuple.__new__(Partition, a))
         j = len(a) - 1
         while j >= 0 and a[j] == 1:
             j -= 1
         if j < 0:
-            return
+            return tuple(out)
         a[j] -= 1
         rem = len(a) - j  # the removed unit plus all trailing ones
         a = a[: j + 1]
@@ -102,7 +117,6 @@ def partitions_of(n):
             rem -= c
 
 
-@lru_cache(maxsize=None)
 def partitions_up_to(n):
     """All partitions of size 0..n, graded by size, descending lex within a size."""
     if n < 0:
@@ -139,7 +153,7 @@ def _strips(mu, up, lo, hi):
 
     def rec(i, spent):
         if i == n:
-            out.append(Partition([p for p in row if p]))
+            out.append(tuple.__new__(Partition, [p for p in row if p]))
             return
         for v in range(
             max(lows[i], lo - spent - rest_hi[i + 1]),
@@ -220,7 +234,7 @@ def _strip_step(dist, up, order, a, m, width, cap=None):
         if not v:
             continue
         budget = order - ((v & -v).bit_length() - 1) // width
-        size = mu.size
+        size = sum(mu)
         if up:
             # the weight is (a+m)|lam| - a|mu|
             lo, hi = size, (a * size + budget) // (a + m)
@@ -240,7 +254,7 @@ def _strip_step(dist, up, order, a, m, width, cap=None):
             continue
         base, k = base * width, k * width
         for lam in _strips(mu, up, lo, hi):
-            ndist[lam] = get(lam, 0) + ((v << base + k * lam._size) & full)
+            ndist[lam] = get(lam, 0) + ((v << base + k * sum(lam)) & full)
     return ndist
 
 
@@ -268,7 +282,7 @@ def _collect(walked, order, m=0):
     """The sum over all states lam of z^(m*|lam|) times their vectors."""
     dist, width = walked
     full = (1 << (order + 1) * width) - 1
-    total = sum((v << m * lam.size * width) & full for lam, v in dist.items())
+    total = sum((v << m * sum(lam) * width) & full for lam, v in dist.items())
     return _unpack(total, width, order)
 
 
@@ -301,5 +315,5 @@ def _trace(steps, order):
             dist = _strip_step(dist, b_up, order, b_a, b_m, width)
         for mu, v in dist.items():
             if is_horizontal_strip(beta, mu) if up else is_horizontal_strip(mu, beta):
-                total += (v << (a * abs(size - mu.size) + m * size) * width) & full
+                total += (v << (a * abs(size - sum(mu)) + m * size) * width) & full
     return _unpack(total, width, order)

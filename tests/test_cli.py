@@ -205,6 +205,20 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+
+def test_cached_parser_keeps_no_state_between_calls():
+    import pytest
+
+    assert cli.build_parser() is cli.build_parser()
+    code, out = run_cli(["asym", "--family", "dspp", "--profile=+", "--n", "7"])
+    assert code == 0 and list(json.loads(out)["psi"]) == ["7"]
+    code, out = run_cli(["asym", "--family", "dspp", "--profile=+"])
+    assert code == 0 and "psi" not in json.loads(out)
+    assert cli.build_parser().parse_args(["asym", "--family", "dspp"]).n == []
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["count", "--family", "dspp", "--order", "seven"])
+    assert exc.value.code == 2
+
 def test_unexpected_exception_is_internal_error(monkeypatch):
     def broken(delta, order):
         raise RuntimeError("kernel exploded")

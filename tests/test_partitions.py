@@ -144,6 +144,30 @@ def test_strips_equal_filter_oracle():
                     assert set(got) == expect, (mu, up, lo, hi)
 
 
+
+def test_enumerators_build_valid_partitions():
+    # partitions_of and _strips build with tuple.__new__, skipping the
+    # constructor's check, so what they build must pass it
+    built = [lam for n in range(13) for lam in partitions_of(n)]
+    for mu in partitions_up_to(6):
+        for up in (True, False):
+            built.extend(_strips(mu, up, 0, 12))
+    for lam in built:
+        assert type(lam) is Partition, lam
+        assert Partition(tuple(lam)) == lam
+        assert lam.size == sum(lam)
+    assert not hasattr(Partition((2, 1)), "__dict__")
+
+
+def test_partitions_built_once_per_size():
+    assert partitions_of(7) is partitions_of(7)
+    joined = partitions_up_to(7)
+    assert joined == sum((partitions_of(k) for k in range(8)), ())
+    assert all(a is b for a, b in zip(joined[-15:], partitions_of(7)))
+    for bad in (-1, 2.5):
+        with pytest.raises(ValueError):
+            partitions_of(bad)
+
 def reference_step(dist, up, order, a, m, cap=None, candidates=None):
     """The strip step by brute force: every partition is a candidate,
     unless candidates(mu) names fewer."""
