@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import _collect, _trace, _vector_bytes, _walk, partitions_up_to
+from .partitions import _collect, _trace, _vector_bytes, _walk, partitions_of
 from .profiles import Profile, region_cells
 
 FILLING_ORDER_BOUND = 8
@@ -94,7 +94,7 @@ def _open_chains(delta, order, m):
     the cap changes no count and only narrows the walk's slot width.
     """
     steps = _guard(_steps(delta, m), order)
-    starts = {lam: lam.size for lam in partitions_up_to(order)}
+    starts = {lam: s for s in range(order + 1) for lam in partitions_of(s)}
     return CountVector(order, _collect(_walk(starts, steps, order, order), order))
 
 

@@ -30,10 +30,14 @@ The products on the right-hand sides are assembled from the two kernels
     psi(X, Y) = prod_{i,j} 1/(1-x_i y_j)
 
 and the geometric factors 1/(1-z^k).  Each product part is compiled to
-a truncated exponent map (series._phi, series._psi and the builders
-below) and expanded by the one kernel the generating functions use,
-series._expand.  Where a right-hand side also has a sum over partitions,
-the walk starts from the expanded product (its kernel) instead of from 1.
+a truncated exponent map and expanded by the one kernel the generating
+functions use, series._expand.  The pair sums of phi and psi are one
+packed product each (series._phi, series._psi); the products over
+k >= 1 of phi(z^k X) and psi(z^k X, Y) build the map at k = 1 once and
+spread it (series._phi_spread, series._spread), phi's pair sums in
+steps of 2, everything else in steps of 1.  Where a right-hand side
+also has a sum over partitions, the walk starts from the expanded
+product (its kernel) instead of from 1.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from itertools import product as iter_product
 
 from .partitions import EMPTY, Partition, _at, _collect, _trace, _walk, partitions_up_to
 from .profiles import Profile, all_profiles
-from .series import TruncatedSeries, _expand, _phi, _psi
+from .series import TruncatedSeries, _expand, _phi, _phi_spread, _psi, _spread
 
 
 def _normalize_alphabet(alpha):
@@ -131,28 +135,25 @@ def _complete_lhs(x_alphas, y_alphas, order):
 
 
 def _pair_exponents(x_alphas, y_alphas, order):
-    """prod over 0 <= i < j of psi(Y^i, X^j)."""
+    """prod over 0 <= i < j of psi(Y^i, X^j): per i, one psi of Y^i against
+    every later X^j together."""
     exps = Counter()
-    h = len(x_alphas)
-    for i in range(h):
-        for j in range(i + 1, h):
-            exps.update(_psi(y_alphas[i], x_alphas[j], order))
+    for i, y_alpha in enumerate(y_alphas[:-1]):
+        exps.update(_psi(y_alpha, [a for x in x_alphas[i + 1 :] for a in x], order))
     return exps
 
 
 def _complete_exponents(head, alphabet, order):
     """phi(head) * prod_{k>=1} phi(z^k alphabet) / (1-z^k)."""
     exps = _phi(head, order) + Counter(range(1, order + 1))
-    for k in range(1, order + 1):
-        exps.update(_phi([k + a for a in alphabet], order))
+    exps.update(_phi_spread([1 + a for a in alphabet], 1, order))
     return exps
 
 
 def _cylindric_exponents(x_all, y_all, order):
-    """prod_{k>=1} psi(z^k X, Y) / (1-z^k)."""
+    """prod_{k>=1} psi(z^k X, Y) / (1-z^k): psi(z X, Y), spread in steps of 1."""
     exps = Counter(range(1, order + 1))
-    for k in range(1, order + 1):
-        exps.update(_psi([k + a for a in x_all], y_all, order))
+    exps.update(_spread(_psi([1 + a for a in x_all], y_all, order), 1, order))
     return exps
 
 

@@ -11,6 +11,14 @@ e <= N, and expanded by a single kernel, _expand: the Euler
 (log-derivative) recurrence, solved as an online convolution by divide
 and conquer, with each block's contribution computed as one big-int
 product of two Kronecker-packed ints.
+
+The maps of the two Schur-process kernels phi and psi come from the
+same packing: tallying a list of exponents as A = sum_e n_e z^e, the
+sums a_i + b_j over all pairs are the coefficients of A B, and the sums
+a_i + a_j over index pairs i < j are those of (A^2 - A(z^2)) / 2, so
+each map is one packed product (_convolve) instead of a loop over
+pairs.  A map shifted by k*step for every k, as the products over k of
+phi(z^k X) and psi(z^k X, Y) need, is built once and spread (_spread).
 """
 
 from __future__ import annotations
@@ -73,6 +81,11 @@ class TruncatedSeries:
 _LEAF = 48
 
 
+def _pack(values, w):
+    """One int holding the nonnegative values in w-byte slots, lowest first."""
+    return int.from_bytes(b"".join([v.to_bytes(w, "little") for v in values]), "little")
+
+
 def _solve(a, acc, c, lo, hi):
     """Fill a[lo:hi] by the Euler recurrence n a_n = sum_{k=1..n} c_k a_{n-k}.
 
@@ -104,9 +117,7 @@ def _solve(a, acc, c, lo, hi):
     kernel = c[: hi - lo]
     bits = max(block).bit_length() + max(kernel).bit_length() + (mid - lo).bit_length() + 1
     w = (bits + 7) // 8
-    x = int.from_bytes(b"".join(v.to_bytes(w, "little") for v in block), "little")
-    y = int.from_bytes(b"".join(v.to_bytes(w, "little") for v in kernel), "little")
-    buf = (x * y).to_bytes((mid - lo + hi - lo) * w, "little")
+    buf = (_pack(block, w) * _pack(kernel, w)).to_bytes((mid - lo + hi - lo) * w, "little")
     for n in range(mid, hi):
         i = (n - lo) * w
         acc[n] += int.from_bytes(buf[i : i + w], "little")
@@ -140,24 +151,98 @@ def _product(exponents, order):
     return TruncatedSeries(order, _expand(exponents, order))
 
 
+def _tally(exponents, order):
+    """(lo, n): n[i] is how many of the exponents <= order equal lo + i, over their span."""
+    kept = [e for e in exponents if e <= order]
+    if not kept:
+        return 0, []
+    lo = min(kept)
+    n = [0] * (max(kept) - lo + 1)
+    for e in kept:
+        n[e - lo] += 1
+    return lo, n
+
+
+def _convolve(xs, ys):
+    """The coefficients of (sum_i x_i z^i)(sum_j y_j z^j), nonnegative ints, by one packed product.
+
+    Slot s sums at most min(len(xs), len(ys)) products x_i y_j, each below
+    2^(bits of max x + bits of max y); adding the bit length of that
+    count and one bit, every slot sum fits its slot and none carries
+    into the next, as in _solve.
+    """
+    if not xs or not ys:
+        return []
+    bits = max(xs).bit_length() + max(ys).bit_length() + min(len(xs), len(ys)).bit_length() + 1
+    w = (bits + 7) // 8
+    x = _pack(xs, w)
+    n = len(xs) + len(ys) - 1
+    # one operand object twice lets CPython square, which is faster
+    buf = (x * (x if ys is xs else _pack(ys, w))).to_bytes(n * w, "little")
+    return [int.from_bytes(buf[i : i + w], "little") for i in range(0, n * w, w)]
+
+
+def _counter(lo, counts):
+    """The {lo + i: counts[i]} map of the nonzero counts."""
+    return Counter({lo + i: c for i, c in enumerate(counts) if c})
+
+
+def _phi_parts(exponents, order):
+    """phi's exponent map in two parts, up to order (every a_i >= 1): the
+    singles a_i, and the sums a_i + a_j over index pairs i < j.
+
+    With A = sum_e n_e z^e over the tallied exponents, the pair sums are
+    (A^2 - A(z^2)) / 2: two equal values e pair in C(n_e, 2) = (n_e^2 - n_e)/2
+    ways.  Only values <= order - lo can pair within the order.
+    """
+    lo, n = _tally(exponents, order)
+    low = n[: max(order - 2 * lo + 1, 0)]
+    square = _convolve(low, low)[: order - 2 * lo + 1]
+    for i, c in enumerate(n[: (len(square) + 1) // 2]):
+        square[2 * i] -= c
+    return _counter(lo, n), _counter(2 * lo, [c // 2 for c in square])
+
+
 def _phi(exponents, order):
     """Exponent map of phi: each a_i, and a_i + a_j over index pairs i < j, up to order."""
-    exps = Counter()
-    a = sorted(exponents)
-    for x, ax in enumerate(a):
-        if ax > order:
-            break
-        exps[ax] += 1
-        for ay in a[x + 1 :]:
-            if ax + ay > order:
-                break
-            exps[ax + ay] += 1
-    return exps
+    singles, pairs = _phi_parts(exponents, order)
+    singles.update(pairs)
+    return singles
 
 
 def _psi(a_exponents, b_exponents, order):
-    """Exponent map of psi: a_i + b_j over all pairs, up to order."""
-    return Counter(a + b for a in a_exponents for b in b_exponents if a + b <= order)
+    """Exponent map of psi: a_i + b_j over all pairs, up to order (every exponent >= 1).
+
+    The product of the two tallies, each cut where a value plus the other
+    side's least passes the order.
+    """
+    a_lo, a_n = _tally(a_exponents, order)
+    b_lo, b_n = _tally(b_exponents, order)
+    top = max(order - a_lo - b_lo + 1, 0)
+    return _counter(a_lo + b_lo, _convolve(a_n[:top], b_n[:top])[:top])
+
+
+def _spread(exps, step, order):
+    """The map with each of its shifts by step, 2*step, ...: {e + k*step: m}
+    over k >= 0, up to order."""
+    out = Counter()
+    for e, m in exps.items():
+        for f in range(e, order + 1, step):
+            out[f] += m
+    return out
+
+
+def _phi_spread(exponents, step, order):
+    """Exponent map of prod_{k>=0} phi(z^(k*step) X), up to order.
+
+    The singles of phi(z^(k*step) X) are those of phi(X) shifted by
+    k*step, its pair sums those of phi(X) shifted by 2*k*step: phi(X) is
+    built once and each part spread.
+    """
+    singles, pairs = _phi_parts(exponents, order)
+    singles = _spread(singles, step, order)
+    singles.update(_spread(pairs, 2 * step, order))
+    return singles
 
 
 @dataclass(frozen=True)
@@ -255,11 +340,8 @@ def _raw_exponents(width, items, order):
     pos = [p for p, e in items if e == 1]
     exps = Counter(q - p for p in pos for q in neg if p < q and q - p <= order)
     exps.update(_phi(neg, order))
-    for k in range(1, order // width + 2):
-        w = width * k
-        if w <= order:
-            exps[w] += 1
-        exps.update(_phi([w + p for p in neg] + [w - p for p in pos], order))
+    exps.update(range(width, order + 1, width))
+    exps.update(_phi_spread([width + p for p in neg] + [width - p for p in pos], width, order))
     return exps
 
 

@@ -60,6 +60,22 @@ def test_horizontal_strip_examples():
     assert not is_horizontal_strip((2,), (1, 1))
 
 
+def conjugate(lam, width):
+    return [sum(1 for part in lam if part >= j) for j in range(1, width + 1)]
+
+
+def test_horizontal_strip_equals_column_definition():
+    # mu inside lam, and lam/mu has at most one cell per column: the
+    # conjugates differ by 0 or 1 in every column
+    every = partitions_up_to(9)
+    for lam in every:
+        for mu in every:
+            inside = len(mu) <= len(lam) and all(m <= l for l, m in zip(lam, mu))
+            columns = map(lambda l, m: l - m, conjugate(lam, 9), conjugate(mu, 9))
+            expect = inside and all(d in (0, 1) for d in columns)
+            assert is_horizontal_strip(lam, mu) == expect, (lam, mu)
+
+
 def test_horizontal_strip_reflexive_and_antisymmetric():
     for lam in partitions_up_to(6):
         assert is_horizontal_strip(lam, lam)
@@ -205,6 +221,24 @@ def test_strip_step_equals_reference_step():
                 got = _strip_step(packed, up, order, a, m, width, cap)
                 got = {lam: _unpack(v, width, order) for lam, v in got.items()}
                 assert got == reference_step(dist, up, order, a, m, cap), (a, m, up, cap)
+
+
+def test_walk_drops_only_dead_starts():
+    # a start with no move in the first step's window is dropped before
+    # it is packed: the walk equals stepping every packed start, and with
+    # no steps every start stays, even one past the order
+    order = 9
+    starts = {lam: lam.size for lam in partitions_up_to(order)}
+    for steps, cap in ((_steps((1, -1), 1), order), (_steps((-1, 1), 2), order),
+                       (_letters(False, (2, 1)), None), (_letters(True, (1,)), 4)):
+        dist, width = _walk(starts, steps, order, cap)
+        full = (1 << (order + 1) * width) - 1
+        every = {lam: (1 << d * width) & full for lam, d in starts.items()}
+        for up, a, m in steps:
+            every = _strip_step(every, up, order, a, m, width, cap)
+        assert dist == every, steps
+    starts[Partition((3,))] = order + 1
+    assert set(_walk(starts, [], order)[0]) == set(starts)
 
 
 def reference_trace(steps, order):

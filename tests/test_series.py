@@ -1,4 +1,6 @@
 import gc
+import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -17,6 +19,7 @@ from planeparts.series import (
     _psi,
     _raw_exponents,
     _spec_exponents,
+    _spread,
     classical_gf,
     cp_gf,
     cp_product_spec,
@@ -140,6 +143,47 @@ def test_psi_series_examples():
     psi = _expand(_psi([1], [1, 2], 8), 8)
     for n in range(9):
         assert psi[n] == restricted_count(n, (2, 3))
+
+
+def pair_loop_phi(exponents, order):
+    """Reference: phi's map by a literal loop over singles and index pairs i < j."""
+    exps = Counter(e for e in exponents if e <= order)
+    for i, x in enumerate(exponents):
+        for y in exponents[i + 1 :]:
+            if x + y <= order:
+                exps[x + y] += 1
+    return exps
+
+
+def test_packed_maps_equal_pair_loops():
+    rng = random.Random(10)
+    for _ in range(600):
+        order = rng.choice((0, 1, 2, 5, 17, 60, 200))
+        top = rng.choice((1, 3, 12, 80, 400))
+        a = [rng.randint(1, top) for _ in range(rng.randint(0, 15))]
+        b = [rng.randint(1, top) for _ in range(rng.randint(0, 15))]
+        assert _phi(a, order) == pair_loop_phi(a, order), (a, order)
+        psi = Counter(x + y for x in a for y in b if x + y <= order)
+        assert _psi(a, b, order) == psi, (a, b, order)
+        step = rng.randint(1, 7)
+        exps = Counter({e: rng.randint(1, 5) for e in a})
+        spread = Counter()
+        for k in range(order + 1):
+            for e, m in exps.items():
+                if e + k * step <= order:
+                    spread[e + k * step] += m
+        assert _spread(exps, step, order) == spread, (exps, step, order)
+
+
+def test_classical_maps_closed_forms():
+    # shiftpp: 1 single and floor((s-1)/2) pairs i < j with i + j = s;
+    # sympp: 1 single at odd s, and floor(t/2) odd pairs i < j summing to 2t
+    order = 5000
+    shift = _classical_exponents("shiftpp", order)
+    assert dict(shift) == {s: 1 + (s - 1) // 2 for s in range(1, order + 1)}
+    sym = {s: 1 for s in range(1, order + 1, 2)}
+    sym.update({2 * t: t // 2 for t in range(2, order // 2 + 1)})
+    assert dict(_classical_exponents("sympp", order)) == sym
 
 
 def test_dspp_gf_values():
