@@ -206,58 +206,56 @@ def _vector_bytes(nsteps, order):
 
 
 def _pack(vec, width):
+    """One int holding the nonnegative values of vec in width-bit slots
+    (whole bytes), lowest first."""
     nbytes = width // 8
-    return int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in vec), "little")
+    return int.from_bytes(b"".join([c.to_bytes(nbytes, "little") for c in vec]), "little")
 
 
 def _unpack(v, width, order):
+    """The order + 1 width-bit slots of v, lowest first."""
     nbytes = width // 8
     raw = v.to_bytes((order + 1) * nbytes, "little")
     return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
-
-
-def _window(mu, size, budget, up, a, m, cap):
-    """The sizes (lo, hi) of the lam a step (up, a, m) from mu, of the given
-    size, may reach within budget; lo > hi when there are none.
-
-    The move weighs z^(a*|strip| + m*|lam|).  Callers weigh either the
-    strip or the new state, never both: a == 0 or m == 0, and a + m >= 1.
-    The weight is then monotone in |lam|, so the moves that fit are those
-    with |lam| in one window.  Up moves keep |lam| <= cap when a cap is
-    given.
-    """
-    if up:
-        # the weight is (a+m)|lam| - a|mu|
-        hi = (a * size + budget) // (a + m)
-        return size, hi if cap is None else min(hi, cap)
-    # |lam| >= |mu| - mu_1 for every lam ≺ mu; clamping to it lets equal
-    # windows share one _strips entry
-    least = size - (mu[0] if mu else 0)
-    if a:
-        return max(size - budget // a, least), size
-    return least, min(budget // m, size)
 
 
 def _strip_step(dist, up, order, a, m, width, cap=None):
     """One single-letter horizontal-strip step of a transfer over partitions.
 
     dist maps each state mu to its packed vector, truncated at order.
-    Every mu moves to each lam with mu ≺ lam (up) or lam ≺ mu (down)
-    whose size lies in _window's, and the move multiplies by
-    z^(a*|strip| + m*|lam|).
+    Every mu moves to each lam with mu ≺ lam (up) or lam ≺ mu (down), and
+    the move multiplies by z^(a*|strip| + m*|lam|).  Up moves keep
+    |lam| <= cap when a cap is given.  Callers weigh either the strip or
+    the new state, never both: a == 0 or m == 0, and a + m >= 1.  The
+    weight is then monotone in |lam|, so the moves whose weight fits the
+    order are those with |lam| in one window, and only they are made.
     """
     full = (1 << (order + 1) * width) - 1
-    k = (a + m if up else m - a) * width
     ndist = {}
     get = ndist.get
     for mu, v in dist.items():
         if not v:
             continue
+        budget = order - ((v & -v).bit_length() - 1) // width
         size = sum(mu)
-        lo, hi = _window(mu, size, order - ((v & -v).bit_length() - 1) // width, up, a, m, cap)
+        if up:
+            # the weight is (a+m)|lam| - a|mu|
+            lo, hi = size, (a * size + budget) // (a + m)
+            if cap is not None:
+                hi = min(hi, cap)
+            base, k = -a * size, a + m
+        else:
+            # |lam| >= |mu| - mu_1 for every lam ≺ mu; clamping to it
+            # lets equal windows share one _strips entry
+            least = size - (mu[0] if mu else 0)
+            if a:
+                lo, hi = max(size - budget // a, least), size
+            else:
+                lo, hi = least, min(budget // m, size)
+            base, k = a * size, m - a
         if lo > hi:  # no move fits; asking would only fill the cache
             continue
-        base = (-a if up else a) * size * width
+        base, k = base * width, k * width
         for lam in _strips(mu, up, lo, hi):
             ndist[lam] = get(lam, 0) + ((v << base + k * sum(lam)) & full)
     return ndist
@@ -267,26 +265,17 @@ def _walk(starts, steps, order, cap=None, kernel=None):
     """Take each (up, a, m) step of a chain in turn; up steps keep |lam| <= cap.
 
     starts maps each start state to its degree d; it starts at z^d, times
-    the kernel (a coefficient list, nonnegative) when one is given.  A
-    start with no move in the first step's window is dropped before it
-    is packed, unless there are no steps.  An up step costs at least its
-    strip and no weight is negative, so every state has size <= max
-    start size + order, or <= the cap.  Returns what _collect and _at
-    read.
+    the kernel (a coefficient list, nonnegative) when one is given.  An
+    up step costs at least its strip and no weight is negative, so every
+    state has size <= max start size + order, or <= the cap.  Returns
+    what _collect and _at read.
     """
     biggest = max(map(sum, starts))
     size = biggest + order if cap is None else min(biggest + order, max(biggest, cap))
     width = _width(max(kernel) if kernel else 1, size, len(steps))
     unit = _pack(kernel, width) if kernel else 1
     full = (1 << (order + 1) * width) - 1
-    low = ((unit & -unit).bit_length() - 1) // width  # the kernel's least degree
-    dist = {}
-    for lam, d in starts.items():
-        if steps:
-            lo, hi = _window(lam, sum(lam), order - d - low, *steps[0], cap)
-            if lo > hi:
-                continue
-        dist[lam] = (unit << d * width) & full
+    dist = {lam: (unit << d * width) & full for lam, d in starts.items()}
     for up, a, m in steps:
         dist = _strip_step(dist, up, order, a, m, width, cap)
     return dist, width

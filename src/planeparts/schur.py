@@ -31,13 +31,13 @@ The products on the right-hand sides are assembled from the two kernels
 
 and the geometric factors 1/(1-z^k).  Each product part is compiled to
 a truncated exponent map and expanded by the one kernel the generating
-functions use, series._expand.  The pair sums of phi and psi are one
-packed product each (series._phi, series._psi); the products over
-k >= 1 of phi(z^k X) and psi(z^k X, Y) build the map at k = 1 once and
-spread it (series._phi_spread, series._spread), phi's pair sums in
-steps of 2, everything else in steps of 1.  Where a right-hand side
-also has a sum over partitions, the walk starts from the expanded
-product (its kernel) instead of from 1.
+functions use, series._expand.  phi's pair sums are one packed square
+(series._phi); psi's few pairs are summed directly (series._psi).  The
+products over k >= 1 of phi(z^k X) and psi(z^k X, Y) build the map at
+k = 1 once and spread it (series._phi_spread, series._spread), phi's
+pair sums in steps of 2, everything else in steps of 1.  Where a
+right-hand side also has a sum over partitions, the walk starts from
+the expanded product (its kernel) instead of from 1.
 """
 
 from __future__ import annotations

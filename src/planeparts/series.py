@@ -12,13 +12,12 @@ e <= N, and expanded by a single kernel, _expand: the Euler
 and conquer, with each block's contribution computed as one big-int
 product of two Kronecker-packed ints.
 
-The maps of the two Schur-process kernels phi and psi come from the
-same packing: tallying a list of exponents as A = sum_e n_e z^e, the
-sums a_i + b_j over all pairs are the coefficients of A B, and the sums
-a_i + a_j over index pairs i < j are those of (A^2 - A(z^2)) / 2, so
-each map is one packed product (_convolve) instead of a loop over
-pairs.  A map shifted by k*step for every k, as the products over k of
-phi(z^k X) and psi(z^k X, Y) need, is built once and spread (_spread).
+The map of the Schur-process kernel phi comes from the same packing:
+tallying its exponents as A = sum_e n_e z^e, the sums a_i + a_j over
+index pairs i < j are the coefficients of (A^2 - A(z^2)) / 2, so the
+map is one packed square (_square) instead of a loop over pairs.  A map
+shifted by k*step for every k, as the products over k of phi(z^k X)
+and psi(z^k X, Y) need, is built once and spread (_spread).
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
+from .partitions import _pack, _unpack
 from .profiles import (
     Profile,
     _positions,
@@ -81,11 +81,6 @@ class TruncatedSeries:
 _LEAF = 48
 
 
-def _pack(values, w):
-    """One int holding the nonnegative values in w-byte slots, lowest first."""
-    return int.from_bytes(b"".join([v.to_bytes(w, "little") for v in values]), "little")
-
-
 def _solve(a, acc, c, lo, hi):
     """Fill a[lo:hi] by the Euler recurrence n a_n = sum_{k=1..n} c_k a_{n-k}.
 
@@ -117,7 +112,7 @@ def _solve(a, acc, c, lo, hi):
     kernel = c[: hi - lo]
     bits = max(block).bit_length() + max(kernel).bit_length() + (mid - lo).bit_length() + 1
     w = (bits + 7) // 8
-    buf = (_pack(block, w) * _pack(kernel, w)).to_bytes((mid - lo + hi - lo) * w, "little")
+    buf = (_pack(block, 8 * w) * _pack(kernel, 8 * w)).to_bytes((mid - lo + hi - lo) * w, "little")
     for n in range(mid, hi):
         i = (n - lo) * w
         acc[n] += int.from_bytes(buf[i : i + w], "little")
@@ -163,23 +158,18 @@ def _tally(exponents, order):
     return lo, n
 
 
-def _convolve(xs, ys):
-    """The coefficients of (sum_i x_i z^i)(sum_j y_j z^j), nonnegative ints, by one packed product.
+def _square(xs):
+    """The coefficients of (sum_i x_i z^i)^2, nonnegative ints, by one packed square.
 
-    Slot s sums at most min(len(xs), len(ys)) products x_i y_j, each below
-    2^(bits of max x + bits of max y); adding the bit length of that
-    count and one bit, every slot sum fits its slot and none carries
-    into the next, as in _solve.
+    Slot s sums at most len(xs) products x_i x_j, each below 2^(2 * bits
+    of max x); adding the bit length of that count and one bit, every
+    slot sum fits its slot and none carries into the next, as in _solve.
     """
-    if not xs or not ys:
+    if not xs:
         return []
-    bits = max(xs).bit_length() + max(ys).bit_length() + min(len(xs), len(ys)).bit_length() + 1
-    w = (bits + 7) // 8
-    x = _pack(xs, w)
-    n = len(xs) + len(ys) - 1
-    # one operand object twice lets CPython square, which is faster
-    buf = (x * (x if ys is xs else _pack(ys, w))).to_bytes(n * w, "little")
-    return [int.from_bytes(buf[i : i + w], "little") for i in range(0, n * w, w)]
+    width = -(-(2 * max(xs).bit_length() + len(xs).bit_length() + 1) // 8) * 8
+    x = _pack(xs, width)
+    return _unpack(x * x, width, 2 * len(xs) - 2)
 
 
 def _counter(lo, counts):
@@ -197,7 +187,7 @@ def _phi_parts(exponents, order):
     """
     lo, n = _tally(exponents, order)
     low = n[: max(order - 2 * lo + 1, 0)]
-    square = _convolve(low, low)[: order - 2 * lo + 1]
+    square = _square(low)[: order - 2 * lo + 1]
     for i, c in enumerate(n[: (len(square) + 1) // 2]):
         square[2 * i] -= c
     return _counter(lo, n), _counter(2 * lo, [c // 2 for c in square])
@@ -211,15 +201,8 @@ def _phi(exponents, order):
 
 
 def _psi(a_exponents, b_exponents, order):
-    """Exponent map of psi: a_i + b_j over all pairs, up to order (every exponent >= 1).
-
-    The product of the two tallies, each cut where a value plus the other
-    side's least passes the order.
-    """
-    a_lo, a_n = _tally(a_exponents, order)
-    b_lo, b_n = _tally(b_exponents, order)
-    top = max(order - a_lo - b_lo + 1, 0)
-    return _counter(a_lo + b_lo, _convolve(a_n[:top], b_n[:top])[:top])
+    """Exponent map of psi: a_i + b_j over all pairs, up to order."""
+    return Counter(a + b for a in a_exponents for b in b_exponents if a + b <= order)
 
 
 def _spread(exps, step, order):

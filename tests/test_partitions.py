@@ -223,24 +223,6 @@ def test_strip_step_equals_reference_step():
                 assert got == reference_step(dist, up, order, a, m, cap), (a, m, up, cap)
 
 
-def test_walk_drops_only_dead_starts():
-    # a start with no move in the first step's window is dropped before
-    # it is packed: the walk equals stepping every packed start, and with
-    # no steps every start stays, even one past the order
-    order = 9
-    starts = {lam: lam.size for lam in partitions_up_to(order)}
-    for steps, cap in ((_steps((1, -1), 1), order), (_steps((-1, 1), 2), order),
-                       (_letters(False, (2, 1)), None), (_letters(True, (1,)), 4)):
-        dist, width = _walk(starts, steps, order, cap)
-        full = (1 << (order + 1) * width) - 1
-        every = {lam: (1 << d * width) & full for lam, d in starts.items()}
-        for up, a, m in steps:
-            every = _strip_step(every, up, order, a, m, width, cap)
-        assert dist == every, steps
-    starts[Partition((3,))] = order + 1
-    assert set(_walk(starts, [], order)[0]) == set(starts)
-
-
 def reference_trace(steps, order):
     """The trace by brute force: every beta takes every step, the last one
     too, and is read back at beta."""
