@@ -30,7 +30,6 @@ from .asymptotics import (
     scp_params,
 )
 from .counting import (
-    CountVector,
     count_cp,
     count_dspp,
     count_dspp_fillings,

@@ -40,7 +40,7 @@ class Family(NamedTuple):
 
     gf: Callable  # (profile, order) -> TruncatedSeries
     multisets: Optional[Callable] = None  # profile -> the multisets gf --format json prints
-    count: Optional[Callable] = None  # (profile, order) -> CountVector
+    count: Optional[Callable] = None  # (profile, order) -> TruncatedSeries
     params: Optional[Callable] = None  # profile -> AsymptoticParams
 
 
@@ -98,7 +98,7 @@ def cmd_gf(args, out):
 
 def cmd_count(args, out):
     delta = parse_profile(args.profile)
-    values = FAMILIES[args.family].count(delta, args.order).counts
+    values = FAMILIES[args.family].count(delta, args.order).coeffs
     meta = {"command": "count", "family": args.family, "profile": delta.text, "order": args.order}
     _emit_vector(meta, values, args.format, out)
     return 0

@@ -1,6 +1,7 @@
 """Brute-force counting of the three families, straight from the definitions.
 
-These counters never touch the product formulas in series.py.  They walk
+These counters never touch the product formulas: from series.py they take
+only the result type, TruncatedSeries, that every route returns.  They walk
 sequences of partitions interlacing according to the profile, with a
 transfer dynamic program: the state is the current boundary partition and
 the value is the vector of accumulated weights, truncated at the target
@@ -25,10 +26,9 @@ correspondence against the filling definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .partitions import _collect, _trace, _vector_bytes, _walk, partitions_of
 from .profiles import Profile, region_cells
+from .series import TruncatedSeries
 
 FILLING_ORDER_BOUND = 8
 # The most bytes of packed state vectors a counting walk may hold,
@@ -38,25 +38,6 @@ FILLING_ORDER_BOUND = 8
 # order 46 (estimate 232 MB, the largest order accepted for it) peaks at
 # 488 MB, and the empty profile at order 51 (229 MB) at 736 MB.
 VECTOR_BUDGET = 256 << 20
-
-
-@dataclass(frozen=True)
-class CountVector:
-    """Counts c_0..c_N of objects of each size up to the order N."""
-
-    order: int
-    counts: tuple
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) != self.order + 1:
-            raise ValueError("need exactly %d counts" % (self.order + 1))
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-
-    def __getitem__(self, n):
-        return self.counts[n]
 
 
 def _parse(delta, order):
@@ -95,7 +76,7 @@ def _open_chains(delta, order, m):
     """
     steps = _guard(_steps(delta, m), order)
     starts = {lam: s for s in range(order + 1) for lam in partitions_of(s)}
-    return CountVector(order, _collect(_walk(starts, steps, order, order), order))
+    return TruncatedSeries(order, _collect(_walk(starts, steps, order, order), order))
 
 
 def count_dspp(delta, order):
@@ -110,7 +91,7 @@ def count_cp(delta, order):
     if len(delta) < 1:
         raise ValueError("cylindric profiles need length >= 1")
     steps = _guard(_steps(delta[:-1], 1) + [(delta[-1] == 1, 0, 0)], order)
-    return CountVector(order, _trace(steps, order))
+    return TruncatedSeries(order, _trace(steps, order))
 
 
 def count_scp(delta, order):
@@ -119,28 +100,25 @@ def count_scp(delta, order):
     return _open_chains(_parse(delta, order), order, 2)
 
 
-def count_dspp_fillings(delta, order, order_bound=FILLING_ORDER_BOUND, window=None):
+def count_dspp_fillings(delta, order):
     """Count monotone fillings of the staircase region directly, by total size.
 
-    Exponential; refuses orders above order_bound.  The empty profile is
-    refused too: its region is a bare diagonal whose cells share no row
-    or column, so the filling definition puts no constraint between them
-    and the count is not finite.  The window defaults to order + h + 1,
-    which already contains every cell a nonzero value can reach; passing
-    a larger one must not change the counts.
+    Exponential; refuses orders above FILLING_ORDER_BOUND.  The empty
+    profile is refused too: its region is a bare diagonal whose cells
+    share no row or column, so the filling definition puts no constraint
+    between them and the count is not finite.  The cells fill the window
+    order + h + 1, which contains every cell a nonzero value can reach.
     """
     delta = _parse(delta, order)
-    if order > order_bound:
+    if order > FILLING_ORDER_BOUND:
         raise ValueError(
             "filling enumeration is exponential; order %d exceeds the bound %d"
-            % (order, order_bound)
+            % (order, FILLING_ORDER_BOUND)
         )
     if len(delta) == 0:
         raise ValueError("filling enumeration needs a profile of length >= 1")
 
-    if window is None:
-        window = order + len(delta) + 1
-    cells = sorted(region_cells(delta, window))
+    cells = sorted(region_cells(delta, order + len(delta) + 1))
     counts = [0] * (order + 1)
     values = {}
 
@@ -162,4 +140,4 @@ def count_dspp_fillings(delta, order, order_bound=FILLING_ORDER_BOUND, window=No
         del values[(c, d)]
 
     rec(0, 0)
-    return CountVector(order, counts)
+    return TruncatedSeries(order, counts)

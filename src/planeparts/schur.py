@@ -326,6 +326,8 @@ def battery_cases(max_len=3, order=8):
     that each run one check and return its IdentityReport."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative, got %d" % max_len)
+    # Lambdas, not partials: each looks its target up when called, so a
+    # verifier rebound in this module (by a tracer or a profiler) is the one that runs.
     cases = []
     for h in range(1, max_len + 1):
         for delta in all_profiles(h):

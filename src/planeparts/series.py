@@ -39,22 +39,23 @@ from .profiles import (
 )
 
 
+@dataclass(frozen=True)
 class TruncatedSeries:
-    """Immutable power series truncated inclusively at a fixed order."""
+    """Immutable power series truncated inclusively at a fixed order: the
+    result of every route, whose coefficients count objects, so none is negative."""
 
-    __slots__ = ("order", "coeffs")
+    order: int
+    coeffs: tuple
 
-    def __init__(self, order, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
-        if order < 0:
+    def __post_init__(self):
+        coeffs = tuple(int(c) for c in self.coeffs)
+        if self.order < 0:
             raise ValueError("order must be nonnegative")
-        if len(coeffs) != order + 1:
-            raise ValueError("need exactly %d coefficients, got %d" % (order + 1, len(coeffs)))
-        object.__setattr__(self, "order", order)
+        if len(coeffs) != self.order + 1:
+            raise ValueError("need exactly %d coefficients, got %d" % (self.order + 1, len(coeffs)))
+        if any(c < 0 for c in coeffs):
+            raise ValueError("coefficients must be nonnegative")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
     def one(cls, order):
@@ -62,19 +63,6 @@ class TruncatedSeries:
 
     def __getitem__(self, n):
         return self.coeffs[n]
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __str__(self):
-        return "TruncatedSeries(order=%d, %s)" % (self.order, list(self.coeffs))
-
-    __repr__ = __str__
 
 
 # Blocks of at most this many coefficients run the plain recurrence.

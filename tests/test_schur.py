@@ -2,9 +2,11 @@ from itertools import permutations
 
 import pytest
 
+from planeparts import schur
 from planeparts.partitions import partitions_up_to
 from planeparts.profiles import parse_profile
 from planeparts.schur import (
+    battery_cases,
     run_battery,
     skew_schur_z,
     verify_alternating_summation,
@@ -95,7 +97,7 @@ def test_cylindric_specialization_recovers_cp_weights():
     r = verify_summation("cylindric", parse_profile("+-"), (1, 1), order=8)
     assert r.passed
     delta = parse_profile("+-")
-    assert count_cp(delta, 8).counts == cp_gf(delta, 8).coeffs
+    assert count_cp(delta, 8) == cp_gf(delta, 8)
 
 
 def test_pair_alphabet_summation():
@@ -192,6 +194,19 @@ def test_battery_small_and_fault_injection():
     tampered = run_battery(max_len=1, order=5, inject_fault=0)
     assert sum(1 for r in tampered if not r.passed) == 1
     assert tampered[0].first_mismatch == 0
+
+
+def test_battery_cases_call_the_verifiers_bound_at_run_time(monkeypatch):
+    # cases built before a verifier is rebound in schur must run the rebound one
+    cases = battery_cases(1, 2)
+    targets = ("verify_summation", "verify_alternating_summation", "verify_lemma_s1",
+               "verify_lemma_s2", "verify_macdonald")
+    ran = []
+    for name in targets:
+        monkeypatch.setattr(schur, name, lambda *args, _name=name, **kwargs: ran.append(_name))
+    for case in cases:
+        case()
+    assert len(ran) == len(cases) and set(ran) == set(targets)
 
 
 def test_battery_depth_scales():

@@ -98,6 +98,10 @@ def test_series_construction_and_identity():
     assert s != TruncatedSeries(3, (1, 2, 3, 0)) and TruncatedSeries.one(2) != s
     with pytest.raises(ValueError):
         TruncatedSeries(2, (1, 2))
+    with pytest.raises(ValueError):
+        TruncatedSeries(-1, ())
+    with pytest.raises(ValueError):
+        TruncatedSeries(1, (1, -1))
 
 
 def test_series_immutable():
