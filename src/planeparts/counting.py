@@ -13,7 +13,8 @@ is a closed chain, lam^0 = lam^h, summed by partitions._trace; its last
 diagonal is lam^0 again and carries no weight of its own, so its
 closing step is (delta_h == 1, 0, 0).  States whose minimal accumulated
 degree exceeds the order are dropped, and a new state lam is only
-proposed while its own weight still fits, on up and on down steps alike.
+proposed while its own weight still fits, on up and on down steps alike,
+and no chain starts from a lam^0 its first step cannot move.
 partitions keeps each vector as one int with W-bit slots, W proven from
 the chain's length and the order (partitions._width); this module sees
 only lists.  The vectors' bytes are estimated before a walk starts, and
@@ -26,17 +27,20 @@ correspondence against the filling definition.
 
 from __future__ import annotations
 
-from .partitions import _collect, _trace, _vector_bytes, _walk, partitions_of
+from .partitions import _collect, _live_starts, _trace, _vector_bytes, _walk
 from .profiles import Profile, region_cells
 from .series import TruncatedSeries
 
 FILLING_ORDER_BOUND = 8
 # The most bytes of packed state vectors a counting walk may hold,
 # estimated before it starts as P(order) * (order + 1) * W/8 (one vector
-# per partition of size <= order; W from partitions._width).  The whole
-# process takes about two to three times the estimate: dspp "++" at
-# order 46 (estimate 232 MB, the largest order accepted for it) peaks at
-# 488 MB, and the empty profile at order 51 (229 MB) at 736 MB.
+# per partition of size <= order; W from partitions._width).  That is
+# the only proven bound, but a walk whose first step weighs the new
+# state starts from far fewer partitions, and its whole process peaks at
+# about half the estimate: at the largest orders accepted, dspp "++" at
+# 46 (estimate 232 MB) peaks at 113 MB, "+" at 47 (212 MB) at 109 MB and
+# cp "+-" at 46 (232 MB) at 86 MB.  A walk with no step keeps every
+# start: the empty profile at order 51 (229 MB) peaks at 745 MB.
 VECTOR_BUDGET = 256 << 20
 
 
@@ -69,13 +73,15 @@ def _guard(steps, order):
 
 
 def _open_chains(delta, order, m):
-    """lam^0 free, weighted z^{|lam^0|}, walked through the profile.
+    """lam^0 weighted z^{|lam^0|}, walked through the profile.
 
-    A new state costs m*|lam| >= |lam|, so no state outgrows the order:
-    the cap changes no count and only narrows the walk's slot width.
+    lam^0 ranges over the starts the first step can move, the only ones
+    that add to any count (partitions._live_starts).  A new state costs
+    m*|lam| >= |lam|, so no state outgrows the order: the cap changes
+    no count and only narrows the walk's slot width.
     """
     steps = _guard(_steps(delta, m), order)
-    starts = {lam: s for s in range(order + 1) for lam in partitions_of(s)}
+    starts = _live_starts(steps, order)
     return TruncatedSeries(order, _collect(_walk(starts, steps, order, order), order))
 
 

@@ -17,8 +17,10 @@ truncated coefficient vectors across one of them, turning the order
 into a window of sizes and asking the one enumerator, _strips, for the
 partners of each state in that window, in either direction.  _walk
 takes a chain's steps in turn, and _trace sums a chain over its closed
-walks, lam^0 = lam^h.  The counting oracles and both sides of every
-skew Schur identity only say which steps their chains take.
+walks, lam^0 = lam^h.  _live_starts reads off the same window the
+starts a chain's first step can move at all: _trace's betas, and the
+counting oracles' open starts.  The counting oracles and both sides of
+every skew Schur identity only say which steps their chains take.
 
 Inside the transfer a coefficient vector c_0..c_order is one int with
 W-bit slots, sum_d c_d << d*W, so a move is one shift and one mask.  W
@@ -261,6 +263,30 @@ def _strip_step(dist, up, order, a, m, width, cap=None):
     return ndist
 
 
+def _live_starts(steps, order):
+    """The starts lam, at z^|lam|, that a chain's first step (up, a, m) can
+    move, as a map lam -> |lam|; with no steps, every start.
+
+    Read off _strip_step's window at budget order - |lam|.  A strip
+    weight (m == 0) lets every lam move to itself, so every partition of
+    size <= order is kept: partitions_of's own objects, in
+    partitions_up_to's order.  Up with m >= 1, |lam'| >= |lam| makes the
+    least move cost (m+1)|lam|, so |lam| <= order // (m+1).  Down with
+    m >= 1, the least move drops lam's first row: lam = (k,) + nu with
+    k >= nu_1 and k + (m+1)|nu| <= order.
+    """
+    up, _, m = steps[0] if steps else (True, 0, 0)
+    top = order // (m + 1)
+    if up or not m:
+        return {lam: s for s in range(top + 1) for lam in partitions_of(s)}
+    starts = {EMPTY: 0}
+    for s in range(top + 1):
+        for nu in partitions_of(s):
+            for k in range(nu[0] if nu else 1, order - (m + 1) * s + 1):
+                starts[tuple.__new__(Partition, (k,) + nu)] = k + s
+    return starts
+
+
 def _walk(starts, steps, order, cap=None, kernel=None):
     """Take each (up, a, m) step of a chain in turn; up steps keep |lam| <= cap.
 
@@ -306,13 +332,16 @@ def _trace(steps, order):
     through such a step from beta to itself.  Every state has size
     <= order, and one width serves every beta, so the closing vectors
     are summed packed.
+
+    The betas are the chain's _live_starts: no other beta survives the
+    first step, the closing one when there is no other (a lone closing
+    step down with m >= 1 weighs beta, so it keeps a few extra betas).
     """
     *body, (up, a, m) = steps or [(True, 0, 0)]
     width = _width(1, order, len(body) + 1)
     full = (1 << (order + 1) * width) - 1
     total = 0
-    for beta in partitions_up_to(order):
-        size = beta.size
+    for beta, size in _live_starts(steps, order).items():
         dist = {beta: 1 << size * width}
         for b_up, b_a, b_m in body:
             dist = _strip_step(dist, b_up, order, b_a, b_m, width)

@@ -153,6 +153,18 @@ def test_longer_profiles_still_agree_with_products():
         assert count_scp(delta, 10) == scp_gf(delta, 10), delta
 
 
+def test_random_profiles_agree_with_products_at_deep_orders():
+    import random
+
+    rng = random.Random(12)
+    for _ in range(6):
+        length = rng.randint(1, 4)
+        delta = parse_profile("".join(rng.choice("+-") for _ in range(length)))
+        assert count_dspp(delta, 26) == dspp_gf(delta, 26), delta
+        assert count_scp(delta, 30) == scp_gf(delta, 30), delta
+        assert count_cp(delta, 18) == cp_gf(delta, 18), delta
+
+
 def test_fillings_refusals():
     with pytest.raises(ValueError):
         count_dspp_fillings(parse_profile("+-"), 9)

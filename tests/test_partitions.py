@@ -5,6 +5,7 @@ from planeparts.partitions import (
     EMPTY,
     Partition,
     _collect,
+    _live_starts,
     _pack,
     _strip_step,
     _strips,
@@ -221,6 +222,30 @@ def test_strip_step_equals_reference_step():
                 got = _strip_step(packed, up, order, a, m, width, cap)
                 got = {lam: _unpack(v, width, order) for lam, v in got.items()}
                 assert got == reference_step(dist, up, order, a, m, cap), (a, m, up, cap)
+
+
+def test_live_starts_are_the_movable_starts():
+    # a start lam at z^|lam| is live iff its first step moves it
+    width = 8
+    for order in range(15):
+        everything = partitions_up_to(order)
+        for up in (True, False):
+            for a, m in ((0, 1), (0, 2), (1, 0), (2, 0)):
+                live = _live_starts([(up, a, m)], order)
+                moved = [lam for lam in everything
+                         if _strip_step({lam: 1 << lam.size * width}, up, order, a, m, width)]
+                assert set(live) == set(moved), (order, up, a, m)
+                assert all(s == lam.size and Partition(tuple(lam)) == lam
+                           for lam, s in live.items())
+                if m == 0:
+                    # strip weights start from partitions_of's own objects,
+                    # in partitions_up_to's order
+                    assert len(live) == len(everything)
+                    assert all(x is y for x, y in zip(live, everything)), (order, up, a)
+            # the zero-weight closing step, and the empty chain, keep every start
+            for steps in ([(up, 0, 0)], []):
+                assert list(_live_starts(steps, order).items()) == [
+                    (lam, lam.size) for lam in everything]
 
 
 def reference_trace(steps, order):
