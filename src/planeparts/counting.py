@@ -17,8 +17,9 @@ proposed while its own weight still fits, on up and on down steps alike,
 and no chain starts from a lam^0 its first step cannot move.
 partitions keeps each vector as one int with W-bit slots, W proven from
 the chain's length and the order (partitions._width); this module sees
-only lists.  The vectors' bytes are estimated before a walk starts, and
-an order whose estimate passes VECTOR_BUDGET is refused with ValueError.
+only lists.  The bytes of the vectors and of the starts a walk keeps are
+estimated before it starts, and an order whose estimate passes
+VECTOR_BUDGET is refused with ValueError.
 
 count_dspp_fillings is the one genuinely exponential oracle: it fills
 the staircase region cell by cell and exists to pin the diagonal-reading
@@ -27,21 +28,25 @@ correspondence against the filling definition.
 
 from __future__ import annotations
 
-from .partitions import _collect, _live_starts, _trace, _vector_bytes, _walk
+from .partitions import _collect, _live_count, _live_starts, _trace, _vector_bytes, _walk
 from .profiles import Profile, region_cells
 from .series import TruncatedSeries
 
 FILLING_ORDER_BOUND = 8
-# The most bytes of packed state vectors a counting walk may hold,
-# estimated before it starts as P(order) * (order + 1) * W/8 (one vector
-# per partition of size <= order; W from partitions._width).  That is
-# the only proven bound, but a walk whose first step weighs the new
-# state starts from far fewer partitions, and its whole process peaks at
-# about half the estimate: at the largest orders accepted, dspp "++" at
-# 46 (estimate 232 MB) peaks at 113 MB, "+" at 47 (212 MB) at 109 MB and
-# cp "+-" at 46 (232 MB) at 86 MB.  A walk with no step keeps every
-# start: the empty profile at order 51 (229 MB) peaks at 745 MB.
+# The most bytes a counting walk may hold, estimated before it starts:
+# P(order) * (order + 1) * W/8 for the packed state vectors (one vector
+# per partition of size <= order; W from partitions._width), plus
+# START_BYTES for each start it keeps (partitions._live_count), which
+# covers the start's Partition and its dict entries.  The vector term
+# is the only proven bound, and walks whose first step weighs the new
+# state hold far less: at the largest orders accepted, dspp "++" at 46
+# (estimate 234 MB) peaks at 42 MB, "+" at 47 (214 MB) at 40 MB and cp
+# "+-" at 46 (234 MB) at 29 MB.  The start term is measured: a walk
+# with no step keeps every start, and the empty profile at order 45
+# (estimate 236 MB, 165 MB of it starts) peaks at 243 MB, and order 46,
+# which would peak at 278 MB, is refused.
 VECTOR_BUDGET = 256 << 20
+START_BYTES = 320
 
 
 def _parse(delta, order):
@@ -57,14 +62,14 @@ def _steps(delta, m):
 
 
 def _guard(steps, order):
-    """Refuse a walk whose state vectors would pass VECTOR_BUDGET bytes.
+    """Refuse a walk whose state vectors and starts would pass VECTOR_BUDGET bytes.
 
     The estimate grows with the order, so it is taken at each order up
     to this one: a huge order is refused at the first order over the
     budget, without counting the partitions of its own size.
     """
     for n in range(order + 1):
-        if _vector_bytes(len(steps), n) > VECTOR_BUDGET:
+        if _vector_bytes(len(steps), n) + START_BYTES * _live_count(steps, n) > VECTOR_BUDGET:
             raise ValueError(
                 "order %d needs more than the %d MB of state vectors the counting "
                 "oracles allow for a profile of length %d" % (order, VECTOR_BUDGET >> 20, len(steps))

@@ -8,30 +8,35 @@ key dictionaries directly.  Only the public constructor Partition(parts)
 checks that encoding; the enumerators here, partitions_of and _strips,
 produce valid parts by construction and build theirs with
 tuple.__new__(Partition, parts), which skips the check.  A Partition
-has no instance dict, and partitions_of builds each size's partitions
-once per process, so every transfer state is one small tuple.
+has no instance dict, partitions_of builds each size's partitions once
+per process, and every interlacing partner is one shared object, so
+every transfer state is one small tuple.
 
 It also owns the one transfer built on that relation.  A chain is a
 list of (up, a, m) steps; _strip_step moves a map from partitions to
 truncated coefficient vectors across one of them, turning the order
-into a window of sizes and asking the one enumerator, _strips, for the
-partners of each state in that window, in either direction.  _walk
-takes a chain's steps in turn, and _trace sums a chain over its closed
-walks, lam^0 = lam^h.  _live_starts reads off the same window the
-starts a chain's first step can move at all: _trace's betas, and the
-counting oracles' open starts.  The counting oracles and both sides of
-every skew Schur identity only say which steps their chains take.
+into a window of sizes and reading the partners of each state in that
+window, in either direction, off the state's partner table (_partners):
+its partners graded by size, enumerated by the one enumerator, _strips,
+only as far as some step has asked.  _walk takes a chain's steps in
+turn, and _trace sums a chain over its closed walks, lam^0 = lam^h.
+_live_starts reads off the same window the starts a chain's first step
+can move at all: _trace's betas, and the counting oracles' open starts;
+_live_count counts them for the counting oracles' memory guard.  The
+counting oracles and both sides of every skew Schur identity only say
+which steps their chains take.
 
 Inside the transfer a coefficient vector c_0..c_order is one int with
-W-bit slots, sum_d c_d << d*W, so a move is one shift and one mask.  W
-is fixed per walk from a proven bound on its coefficients (_width) and
-never widened; _collect, _at and _trace unpack at the end, so callers
-see only lists.
+W-bit slots, sum_d c_d << d*W, so a move is one shift and one mask,
+shared by all partners of one size.  W is fixed per walk from a proven
+bound on its coefficients (_width) and never widened; _collect, _at and
+_trace unpack at the end, so callers see only lists.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, groupby
 
 
 class Partition(tuple):
@@ -129,7 +134,6 @@ def partitions_up_to(n):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _strips(mu, up, lo, hi):
     """All lam with mu ≺ lam (up) or lam ≺ mu (down) and lo <= |lam| <= hi.
 
@@ -138,7 +142,8 @@ def _strips(mu, up, lo, hi):
     [mu_{i+1}, mu_i].  So the sizes the later parts can still add form
     one interval, and parts are chosen first to last, each value tried
     only while |lam| can still land in [lo, hi].  Each lam is returned
-    once, in lexicographic order of its padded parts.
+    once, by size, and in lexicographic order of its padded parts within
+    a size.
     """
     if up:
         lows, highs = mu + (0,), (hi,) + mu
@@ -150,12 +155,13 @@ def _strips(mu, up, lo, hi):
     for i in range(n - 1, -1, -1):
         rest_lo[i] = rest_lo[i + 1] + lows[i]
         rest_hi[i] = rest_hi[i + 1] + highs[i]
-    out = []
+    out = [[] for _ in range(lo, hi + 1)]
     row = [0] * n
 
     def rec(i, spent):
         if i == n:
-            out.append(tuple.__new__(Partition, [p for p in row if p]))
+            # only the last part's range reaches 0
+            out[spent - lo].append(tuple.__new__(Partition, row if row and row[-1] else row[:-1]))
             return
         for v in range(
             max(lows[i], lo - spent - rest_hi[i + 1]),
@@ -168,7 +174,31 @@ def _strips(mu, up, lo, hi):
     # (down from the empty partition), only this test does
     if max(lo, rest_lo[0]) <= min(hi, rest_hi[0]):
         rec(0, 0)
-    return tuple(out)
+    return tuple(chain.from_iterable(out))
+
+
+# one object per partner value, shared by every table
+_SHARED = {}
+
+
+@lru_cache(maxsize=None)
+def _partners(mu, up):
+    """The partner table of mu in one direction, empty until _grow fills it.
+
+    Entry i is the tuple of partners of size least + i, least being |mu|
+    up and |mu| - mu_1 down.  Every size from least on (down, through
+    |mu|) has a partner, so a window of sizes is a slice of the table.
+    The list is this cache's own, grown in place, so every step that
+    meets mu again reuses what earlier steps enumerated.
+    """
+    return []
+
+
+def _grow(table, mu, up, least, hi):
+    """Append to mu's table the groups of the sizes it lacks, through hi."""
+    found = _strips(mu, up, least + len(table), hi)
+    found = map(_SHARED.setdefault, found, found)
+    table.extend(tuple(group) for _, group in groupby(found, sum))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +261,8 @@ def _strip_step(dist, up, order, a, m, width, cap=None):
     the new state, never both: a == 0 or m == 0, and a + m >= 1.  The
     weight is then monotone in |lam|, so the moves whose weight fits the
     order are those with |lam| in one window, and only they are made.
+    The window is a slice of mu's partner table, and all partners of one
+    size take the same shift, so v is shifted once per size.
     """
     full = (1 << (order + 1) * width) - 1
     ndist = {}
@@ -242,24 +274,30 @@ def _strip_step(dist, up, order, a, m, width, cap=None):
         size = sum(mu)
         if up:
             # the weight is (a+m)|lam| - a|mu|
-            lo, hi = size, (a * size + budget) // (a + m)
+            least = lo = size
+            hi = (a * size + budget) // (a + m)
             if cap is not None:
                 hi = min(hi, cap)
             base, k = -a * size, a + m
         else:
-            # |lam| >= |mu| - mu_1 for every lam ≺ mu; clamping to it
-            # lets equal windows share one _strips entry
+            # |lam| >= |mu| - mu_1 for every lam ≺ mu, where the table starts
             least = size - (mu[0] if mu else 0)
             if a:
                 lo, hi = max(size - budget // a, least), size
             else:
                 lo, hi = least, min(budget // m, size)
             base, k = a * size, m - a
-        if lo > hi:  # no move fits; asking would only fill the cache
+        if lo > hi:  # no move fits; asking would only grow the table
             continue
-        base, k = base * width, k * width
-        for lam in _strips(mu, up, lo, hi):
-            ndist[lam] = get(lam, 0) + ((v << base + k * sum(lam)) & full)
+        table = _partners(mu, up)
+        if len(table) <= hi - least:
+            _grow(table, mu, up, least, hi)
+        shift, k = (base + k * lo) * width, k * width
+        for group in table[lo - least : hi - least + 1]:
+            w = (v << shift) & full
+            for lam in group:
+                ndist[lam] = get(lam, 0) + w
+            shift += k
     return ndist
 
 
@@ -285,6 +323,20 @@ def _live_starts(steps, order):
             for k in range(nu[0] if nu else 1, order - (m + 1) * s + 1):
                 starts[tuple.__new__(Partition, (k,) + nu)] = k + s
     return starts
+
+
+def _live_count(steps, order):
+    """len(_live_starts(steps, order)), without building the starts."""
+    up, _, m = steps[0] if steps else (True, 0, 0)
+    top = order // (m + 1)
+    if up or not m:
+        return _partition_count(top)
+    # EMPTY, then each nu with its choices of k
+    return 1 + sum(
+        max(0, order - (m + 1) * s - (nu[0] if nu else 1) + 1)
+        for s in range(top + 1)
+        for nu in partitions_of(s)
+    )
 
 
 def _walk(starts, steps, order, cap=None, kernel=None):

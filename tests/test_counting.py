@@ -173,3 +173,21 @@ def test_fillings_refusals():
     # a negative order gets the expansion kernel's message
     with pytest.raises(ValueError, match=r"^order must be nonnegative, got -1$"):
         count_dspp_fillings(parse_profile("+-"), -1)
+
+
+def test_guard_charges_the_starts_a_walk_keeps():
+    # the empty profile keeps every start: its vectors alone would let
+    # order 51 through, where the walk peaks near three times the budget
+    with pytest.raises(ValueError):
+        counting._guard([], 51)
+    with pytest.raises(ValueError):
+        counting._guard([], 46)
+    counting._guard([], 45)
+    # walks whose first step weighs the new state keep few starts, so
+    # their largest accepted orders are those of the vectors alone
+    cp_steps = counting._steps((1,), 1) + [(False, 0, 0)]
+    for steps, top in ((counting._steps((1, 1), 1), 46), (counting._steps((1,), 1), 47),
+                       (cp_steps, 46)):
+        assert counting._guard(steps, top) == steps
+        with pytest.raises(ValueError):
+            counting._guard(steps, top + 1)

@@ -5,8 +5,11 @@ from planeparts.partitions import (
     EMPTY,
     Partition,
     _collect,
+    _grow,
+    _live_count,
     _live_starts,
     _pack,
+    _partners,
     _strip_step,
     _strips,
     _trace,
@@ -160,6 +163,49 @@ def test_strips_equal_filter_oracle():
                     expect = {lam for lam in partners if lo <= lam.size <= hi}
                     assert set(got) == expect, (mu, up, lo, hi)
 
+
+
+def test_partner_tables_are_graded_slices():
+    # each (mu, direction) table, grown by the hi values a step asks for in
+    # any order, holds _strips' partners by size, once each, and shares
+    # every partner value with the other tables
+    import random
+
+    rng = random.Random(5)
+    for arrange in (sorted, lambda his: sorted(his, reverse=True),
+                    lambda his: rng.sample(his, len(his))):
+        _partners.cache_clear()
+        shared = {}
+        for mu in partitions_up_to(6):
+            for up in (True, False):
+                least = mu.size if up else mu.size - (mu[0] if mu else 0)
+                top = mu.size + 6 if up else mu.size
+                table = _partners(mu, up)
+                for hi in arrange(list(range(least, top + 1))):
+                    # as _strip_step asks
+                    if len(table) <= hi - least:
+                        _grow(table, mu, up, least, hi)
+                    for lo in range(least, hi + 1):
+                        got = _strips(mu, up, lo, hi)
+                        expect = [tuple(lam for lam in got if lam.size == s)
+                                  for s in range(lo, hi + 1)]
+                        assert table[lo - least : hi - least + 1] == expect, (mu, up, lo, hi)
+                assert _partners(mu, up) is table
+                assert len(table) == top - least + 1, (mu, up)
+                for i, group in enumerate(table):
+                    assert group and all(lam.size == least + i for lam in group), (mu, up, i)
+                flat = [lam for group in table for lam in group]
+                assert len(flat) == len(set(flat)), (mu, up)
+                assert all(shared.setdefault(lam, lam) is lam for lam in flat), (mu, up)
+
+
+def test_live_count_counts_the_live_starts():
+    for order in range(16):
+        for up in (True, False):
+            for a, m in ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0)):
+                steps = [(up, a, m), (not up, 0, 1)]
+                assert _live_count(steps, order) == len(_live_starts(steps, order)), (order, steps)
+        assert _live_count([], order) == len(_live_starts([], order))
 
 
 def test_enumerators_build_valid_partitions():
