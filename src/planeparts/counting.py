@@ -40,11 +40,12 @@ FILLING_ORDER_BOUND = 8
 # covers the start's Partition and its dict entries.  The vector term
 # is the only proven bound, and walks whose first step weighs the new
 # state hold far less: at the largest orders accepted, dspp "++" at 46
-# (estimate 234 MB) peaks at 42 MB, "+" at 47 (214 MB) at 40 MB and cp
-# "+-" at 46 (234 MB) at 29 MB.  The start term is measured: a walk
-# with no step keeps every start, and the empty profile at order 45
-# (estimate 236 MB, 165 MB of it starts) peaks at 243 MB, and order 46,
-# which would peak at 278 MB, is refused.
+# (estimate 234 MB) peaks at 42 MB, "+" at 47 (214 MB) at 41 MB, cp
+# "+-" at 46 (234 MB) at 29 MB and cp "+" at 44 (235 MB) at 105 MB.
+# The start term is measured: a walk with no step keeps every start,
+# and gives none of them a transfer id (partitions._walk), so the empty
+# profile at order 45 (estimate 236 MB, 165 MB of it starts) peaks at
+# 243 MB, and order 46, which would peak at 278 MB, is refused.
 VECTOR_BUDGET = 256 << 20
 START_BYTES = 320
 

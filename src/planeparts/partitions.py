@@ -8,23 +8,28 @@ key dictionaries directly.  Only the public constructor Partition(parts)
 checks that encoding; the enumerators here, partitions_of and _strips,
 produce valid parts by construction and build theirs with
 tuple.__new__(Partition, parts), which skips the check.  A Partition
-has no instance dict, partitions_of builds each size's partitions once
-per process, and every interlacing partner is one shared object, so
-every transfer state is one small tuple.
+has no instance dict, and partitions_of builds each size's partitions
+once per process.
 
-It also owns the one transfer built on that relation.  A chain is a
-list of (up, a, m) steps; _strip_step moves a map from partitions to
-truncated coefficient vectors across one of them, turning the order
-into a window of sizes and reading the partners of each state in that
-window, in either direction, off the state's partner table (_partners):
-its partners graded by size, enumerated by the one enumerator, _strips,
-only as far as some step has asked.  _walk takes a chain's steps in
-turn, and _trace sums a chain over its closed walks, lam^0 = lam^h.
-_live_starts reads off the same window the starts a chain's first step
-can move at all: _trace's betas, and the counting oracles' open starts;
-_live_count counts them for the counting oracles' memory guard.  The
-counting oracles and both sides of every skew Schur identity only say
-which steps their chains take.
+It also owns the one transfer built on that relation.  Inside it a
+state is a small int: a process-wide registry numbers every partition
+the transfer meets once (_number) and keeps, per id, the partition, its
+size, its first part and its partner tables in both directions, so
+every partner value is one shared object.  A chain is a list of
+(up, a, m) steps; _strip_step moves a map from state ids to truncated
+coefficient vectors across one of them, turning the order into a
+window of sizes and reading the partners of each state in that
+window, in either direction, off the state's partner table: its
+partners' ids graded by size, enumerated by the one enumerator,
+_strips, only as far as some step has asked (_grow).  _walk numbers its
+starts and takes a chain's steps in turn, and _trace sums a chain over
+its closed walks, lam^0 = lam^h.  _live_starts reads off the same
+window the starts a chain's first step can move at all: _trace's
+betas, and the counting oracles' open starts; _live_count counts them
+for the counting oracles' memory guard.  The counting oracles and both
+sides of every skew Schur identity only say which steps their chains
+take, with partitions going in and lists coming out; ids never leave
+this module.
 
 Inside the transfer a coefficient vector c_0..c_order is one int with
 W-bit slots, sum_d c_d << d*W, so a move is one shift and one mask,
@@ -177,28 +182,49 @@ def _strips(mu, up, lo, hi):
     return tuple(chain.from_iterable(out))
 
 
-# one object per partner value, shared by every table
-_SHARED = {}
+# ---------------------------------------------------------------------------
+# the registry: every partition the transfer meets, numbered once
+
+# partition -> id; per id, the partition, its size and its first part
+# (0 for the empty partition)
+_ids = {}
+_parts = []
+_sizes = []
+_firsts = []
+# per direction, down then up, per id: the partner table, () until a
+# step asks for it
+_tables = ([], [])
 
 
-@lru_cache(maxsize=None)
-def _partners(mu, up):
-    """The partner table of mu in one direction, empty until _grow fills it.
+def _number(lams):
+    """The ids of lams, a sequence of distinct partitions, numbering each
+    one the registry has not met yet."""
+    fresh = [lam for lam in lams if lam not in _ids]
+    n = len(_parts)
+    _ids.update(zip(fresh, range(n, n + len(fresh))))
+    _parts.extend(fresh)
+    _sizes.extend(map(sum, fresh))
+    _firsts.extend([lam[0] if lam else 0 for lam in fresh])
+    for tables in _tables:
+        tables.extend([()] * len(fresh))
+    return list(map(_ids.__getitem__, lams))
 
-    Entry i is the tuple of partners of size least + i, least being |mu|
-    up and |mu| - mu_1 down.  Every size from least on (down, through
-    |mu|) has a partner, so a window of sizes is a slice of the table.
-    The list is this cache's own, grown in place, so every step that
-    meets mu again reuses what earlier steps enumerated.
+
+def _grow(mu, up, least, hi):
+    """The partner table of id mu in one direction, grown through size hi.
+
+    Entry i is the tuple of the ids of mu's partners of size least + i,
+    least being |mu| up and |mu| - mu_1 down.  Every size from least on
+    (down, through |mu|) has a partner, so a window of sizes is a slice
+    of the table.  The table is extended only as far as some step has
+    asked, and every step that meets mu again reuses it.
     """
-    return []
-
-
-def _grow(table, mu, up, least, hi):
-    """Append to mu's table the groups of the sizes it lacks, through hi."""
-    found = _strips(mu, up, least + len(table), hi)
-    found = map(_SHARED.setdefault, found, found)
-    table.extend(tuple(group) for _, group in groupby(found, sum))
+    tables = _tables[up]
+    table = tables[mu]
+    found = _number(_strips(_parts[mu], up, least + len(table), hi))
+    table += tuple(tuple(group) for _, group in groupby(found, _sizes.__getitem__))
+    tables[mu] = table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -254,24 +280,26 @@ def _unpack(v, width, order):
 def _strip_step(dist, up, order, a, m, width, cap=None):
     """One single-letter horizontal-strip step of a transfer over partitions.
 
-    dist maps each state mu to its packed vector, truncated at order.
-    Every mu moves to each lam with mu ≺ lam (up) or lam ≺ mu (down), and
-    the move multiplies by z^(a*|strip| + m*|lam|).  Up moves keep
-    |lam| <= cap when a cap is given.  Callers weigh either the strip or
-    the new state, never both: a == 0 or m == 0, and a + m >= 1.  The
-    weight is then monotone in |lam|, so the moves whose weight fits the
-    order are those with |lam| in one window, and only they are made.
+    dist maps the id of each state mu to its packed vector, truncated
+    at order, and so does the map returned.  Every mu moves to each lam
+    with mu ≺ lam (up) or lam ≺ mu (down), and the move multiplies by
+    z^(a*|strip| + m*|lam|).  Up moves keep |lam| <= cap when a cap is
+    given.  Callers weigh either the strip or the new state, never both:
+    a == 0 or m == 0, and a + m >= 1.  The weight is then monotone in
+    |lam|, so the moves whose weight fits the order are those with |lam|
+    in one window, and only they are made.
     The window is a slice of mu's partner table, and all partners of one
     size take the same shift, so v is shifted once per size.
     """
     full = (1 << (order + 1) * width) - 1
     ndist = {}
     get = ndist.get
+    sizes, firsts, tables = _sizes, _firsts, _tables[up]
     for mu, v in dist.items():
         if not v:
             continue
         budget = order - ((v & -v).bit_length() - 1) // width
-        size = sum(mu)
+        size = sizes[mu]
         if up:
             # the weight is (a+m)|lam| - a|mu|
             least = lo = size
@@ -281,7 +309,7 @@ def _strip_step(dist, up, order, a, m, width, cap=None):
             base, k = -a * size, a + m
         else:
             # |lam| >= |mu| - mu_1 for every lam ≺ mu, where the table starts
-            least = size - (mu[0] if mu else 0)
+            least = size - firsts[mu]
             if a:
                 lo, hi = max(size - budget // a, least), size
             else:
@@ -289,9 +317,9 @@ def _strip_step(dist, up, order, a, m, width, cap=None):
             base, k = a * size, m - a
         if lo > hi:  # no move fits; asking would only grow the table
             continue
-        table = _partners(mu, up)
+        table = tables[mu]
         if len(table) <= hi - least:
-            _grow(table, mu, up, least, hi)
+            table = _grow(mu, up, least, hi)
         shift, k = (base + k * lo) * width, k * width
         for group in table[lo - least : hi - least + 1]:
             w = (v << shift) & full
@@ -346,31 +374,35 @@ def _walk(starts, steps, order, cap=None, kernel=None):
     the kernel (a coefficient list, nonnegative) when one is given.  An
     up step costs at least its strip and no weight is negative, so every
     state has size <= max start size + order, or <= the cap.  Returns
-    what _collect and _at read.
+    what _collect and _at read: the final map, the width, and whether
+    the map is keyed by id.  Only a step needs ids, so a walk with no
+    step keeps its starts as they are, and numbers none of them.
     """
     biggest = max(map(sum, starts))
     size = biggest + order if cap is None else min(biggest + order, max(biggest, cap))
     width = _width(max(kernel) if kernel else 1, size, len(steps))
     unit = _pack(kernel, width) if kernel else 1
     full = (1 << (order + 1) * width) - 1
-    dist = {lam: (unit << d * width) & full for lam, d in starts.items()}
+    keys = _number(starts) if steps else starts
+    dist = {k: (unit << d * width) & full for k, d in zip(keys, starts.values())}
     for up, a, m in steps:
         dist = _strip_step(dist, up, order, a, m, width, cap)
-    return dist, width
+    return dist, width, bool(steps)
 
 
 def _collect(walked, order, m=0):
     """The sum over all states lam of z^(m*|lam|) times their vectors."""
-    dist, width = walked
+    dist, width, by_id = walked
     full = (1 << (order + 1) * width) - 1
-    total = sum((v << m * sum(lam) * width) & full for lam, v in dist.items())
+    size = _sizes.__getitem__ if by_id else sum
+    total = sum((v << m * size(k) * width) & full for k, v in dist.items())
     return _unpack(total, width, order)
 
 
 def _at(walked, lam, order):
-    """The vector of state lam."""
-    dist, width = walked
-    return _unpack(dist.get(lam, 0), width, order)
+    """The vector of state lam; zeros for a partition the walk never met."""
+    dist, width, by_id = walked
+    return _unpack(dist.get(_ids.get(lam) if by_id else lam, 0), width, order)
 
 
 def _trace(steps, order):
@@ -383,7 +415,9 @@ def _trace(steps, order):
     a == m == 0, which _strip_step cannot take; the empty chain closes
     through such a step from beta to itself.  Every state has size
     <= order, and one width serves every beta, so the closing vectors
-    are summed packed.
+    are summed packed.  Each beta is numbered to take the body's steps,
+    and each end state is tested as the registry's tuple; with no body
+    step, beta closes with itself alone and is not numbered.
 
     The betas are the chain's _live_starts: no other beta survives the
     first step, the closing one when there is no other (a lone closing
@@ -393,11 +427,12 @@ def _trace(steps, order):
     width = _width(1, order, len(body) + 1)
     full = (1 << (order + 1) * width) - 1
     total = 0
-    for beta, size in _live_starts(steps, order).items():
-        dist = {beta: 1 << size * width}
+    betas = _live_starts(steps, order)
+    for key, (beta, size) in zip(_number(betas) if body else betas, betas.items()):
+        dist = {key: 1 << size * width}
         for b_up, b_a, b_m in body:
             dist = _strip_step(dist, b_up, order, b_a, b_m, width)
-        for mu, v in dist.items():
+        for mu, v in zip(map(_parts.__getitem__, dist), dist.values()) if body else dist.items():
             if is_horizontal_strip(beta, mu) if up else is_horizontal_strip(mu, beta):
                 total += (v << (a * abs(size - sum(mu)) + m * size) * width) & full
     return _unpack(total, width, order)

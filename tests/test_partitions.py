@@ -1,15 +1,19 @@
+import random
+
 import pytest
 
+from planeparts import partitions
 from planeparts.counting import _steps
 from planeparts.partitions import (
     EMPTY,
     Partition,
+    _at,
     _collect,
     _grow,
     _live_count,
     _live_starts,
+    _number,
     _pack,
-    _partners,
     _strip_step,
     _strips,
     _trace,
@@ -20,7 +24,7 @@ from planeparts.partitions import (
     partitions_of,
     partitions_up_to,
 )
-from planeparts.schur import _letters, _pair_exponents, _zigzag
+from planeparts.schur import _letters, _pair_exponents, _zigzag, skew_schur_z
 from planeparts.series import _expand, _phi
 
 
@@ -165,38 +169,72 @@ def test_strips_equal_filter_oracle():
 
 
 
-def test_partner_tables_are_graded_slices():
-    # each (mu, direction) table, grown by the hi values a step asks for in
-    # any order, holds _strips' partners by size, once each, and shares
-    # every partner value with the other tables
-    import random
+def empty_registry(monkeypatch):
+    """Swap in an empty registry; monkeypatch puts the process's back."""
+    for name, value in (("_ids", {}), ("_parts", []), ("_sizes", []), ("_firsts", []),
+                        ("_tables", ([], []))):
+        monkeypatch.setattr(partitions, name, value)
 
+
+def test_partner_tables_are_graded_slices(monkeypatch):
+    # each (mu, direction) table, grown by the hi values a step asks for in
+    # any order, holds the ids of _strips' partners by size, once each,
+    # and every partner value is numbered once across the tables
     rng = random.Random(5)
     for arrange in (sorted, lambda his: sorted(his, reverse=True),
                     lambda his: rng.sample(his, len(his))):
-        _partners.cache_clear()
-        shared = {}
+        empty_registry(monkeypatch)
         for mu in partitions_up_to(6):
+            i = _number([mu])[0]
             for up in (True, False):
                 least = mu.size if up else mu.size - (mu[0] if mu else 0)
                 top = mu.size + 6 if up else mu.size
-                table = _partners(mu, up)
                 for hi in arrange(list(range(least, top + 1))):
                     # as _strip_step asks
+                    table = partitions._tables[up][i]
                     if len(table) <= hi - least:
-                        _grow(table, mu, up, least, hi)
+                        table = _grow(i, up, least, hi)
                     for lo in range(least, hi + 1):
                         got = _strips(mu, up, lo, hi)
                         expect = [tuple(lam for lam in got if lam.size == s)
                                   for s in range(lo, hi + 1)]
-                        assert table[lo - least : hi - least + 1] == expect, (mu, up, lo, hi)
-                assert _partners(mu, up) is table
+                        window = [tuple(partitions._parts[j] for j in group)
+                                  for group in table[lo - least : hi - least + 1]]
+                        assert window == expect, (mu, up, lo, hi)
+                assert partitions._tables[up][i] is table
                 assert len(table) == top - least + 1, (mu, up)
-                for i, group in enumerate(table):
-                    assert group and all(lam.size == least + i for lam in group), (mu, up, i)
-                flat = [lam for group in table for lam in group]
+                for k, group in enumerate(table):
+                    sizes = {partitions._sizes[j] for j in group}
+                    assert group and sizes == {least + k}, (mu, up, k)
+                flat = [j for group in table for j in group]
                 assert len(flat) == len(set(flat)), (mu, up)
-                assert all(shared.setdefault(lam, lam) is lam for lam in flat), (mu, up)
+        assert len(partitions._ids) == len(partitions._parts)
+        assert all(partitions._ids[lam] == j for j, lam in enumerate(partitions._parts))
+
+
+def test_registry_round_trips_ids_sizes_and_tables(monkeypatch):
+    # every id names one partition, with its size and first part, and
+    # entry k of its table in each direction holds exactly the ids of
+    # _strips' partners of size least + k
+    empty_registry(monkeypatch)
+    starts = {lam: 0 for lam in partitions_up_to(5)}
+    _walk(starts, _zigzag(((1, 2),), ((2, 1),)), 8, 8)
+    _walk({lam: lam.size for lam in partitions_up_to(4)}, _steps((1, -1, -1), 1), 12, 12)
+    parts = partitions._parts
+    assert len(parts) > len(starts)
+    grown = 0
+    for i, lam in enumerate(parts):
+        assert _number([lam]) == [i] and partitions._ids[lam] == i
+        assert _number([Partition(tuple(lam))]) == [i]
+        assert partitions._sizes[i] == sum(lam)
+        assert partitions._firsts[i] == (lam[0] if lam else 0)
+        for up in (True, False):
+            least = sum(lam) if up else sum(lam) - (lam[0] if lam else 0)
+            table = partitions._tables[up][i]
+            grown += bool(table)
+            for k, group in enumerate(table):
+                assert list(group) == _number(_strips(lam, up, least + k, least + k)), (lam, up, k)
+    assert grown and len(parts) == len(partitions._ids)
 
 
 def test_live_count_counts_the_live_starts():
@@ -234,7 +272,7 @@ def test_partitions_built_once_per_size():
 def reference_step(dist, up, order, a, m, cap=None, candidates=None):
     """The strip step by brute force: every partition is a candidate,
     unless candidates(mu) names fewer."""
-    largest = max(mu.size for mu in dist) + order
+    largest = max((mu.size for mu in dist), default=0) + order
     out = {}
     for mu, vec in dist.items():
         for lam in partitions_up_to(largest) if candidates is None else candidates(mu):
@@ -264,9 +302,9 @@ def test_strip_step_equals_reference_step():
     for a, m in ((0, 1), (0, 2), (1, 0), (2, 0), (3, 0)):
         for up in (True, False):
             for cap in (None, 3):
-                packed = {mu: _pack(vec, width) for mu, vec in dist.items()}
+                packed = {i: _pack(vec, width) for i, vec in zip(_number(dist), dist.values())}
                 got = _strip_step(packed, up, order, a, m, width, cap)
-                got = {lam: _unpack(v, width, order) for lam, v in got.items()}
+                got = {partitions._parts[i]: _unpack(v, width, order) for i, v in got.items()}
                 assert got == reference_step(dist, up, order, a, m, cap), (a, m, up, cap)
 
 
@@ -279,7 +317,8 @@ def test_live_starts_are_the_movable_starts():
             for a, m in ((0, 1), (0, 2), (1, 0), (2, 0)):
                 live = _live_starts([(up, a, m)], order)
                 moved = [lam for lam in everything
-                         if _strip_step({lam: 1 << lam.size * width}, up, order, a, m, width)]
+                         if _strip_step({_number([lam])[0]: 1 << lam.size * width}, up, order,
+                                        a, m, width)]
                 assert set(live) == set(moved), (order, up, a, m)
                 assert all(s == lam.size and Partition(tuple(lam)) == lam
                            for lam, s in live.items())
@@ -296,13 +335,19 @@ def test_live_starts_are_the_movable_starts():
 
 def reference_trace(steps, order):
     """The trace by brute force: every beta takes every step, the last one
-    too, and is read back at beta."""
+    too, and is read back at beta.  Every partition of size <= order is a
+    candidate at every step: a step that costs something costs at least
+    its size change, so no state of a chain weighing at most order is
+    larger, and a closing step of zero weight must reach beta, however
+    far below it the chain went."""
     out = [0] * (order + 1)
-    for beta in partitions_up_to(order):
+    every = partitions_up_to(order)
+    for beta in every:
         sub = order - beta.size
         dist = {beta: [1] + [0] * sub}
         for up, a, m in steps:
-            dist = reference_step(dist, up, sub, a, m) if dist else dist
+            if dist:
+                dist = reference_step(dist, up, sub, a, m, candidates=lambda mu: every)
         for d, c in enumerate(dist.get(beta, ())):
             out[beta.size + d] += c
     return out
@@ -348,8 +393,12 @@ def packed_against_lists(starts, steps, order, cap=None, kernel=None, m=0):
         dist = reference_step(dist, up, order, a, k, cap, lambda mu, up=up: candidates(mu, up))
         top = max([top] + [max(vec) for vec in dist.values()])
     walked = _walk(starts, steps, order, cap, kernel)
-    packed, width = walked
-    assert {lam: _unpack(v, width, order) for lam, v in packed.items()} == dist
+    packed, width, by_id = walked
+    assert by_id == bool(steps)
+    assert {partitions._parts[i] if by_id else i: _unpack(v, width, order)
+            for i, v in packed.items()} == dist
+    for lam, vec in dist.items():
+        assert _at(walked, lam, order) == vec
     total = [0] * (order + 1)
     for lam, vec in dist.items():
         for d in range(m * lam.size, order + 1):
@@ -386,3 +435,33 @@ def test_width_holds_the_worst_cases():
     got = _trace(chain, 8)
     assert got == reference_trace(chain, 8)
     assert max(got) < 1 << (_width(1, 8, len(chain)) - 1)
+
+
+def test_random_chains_equal_the_references(monkeypatch):
+    # random starts and chains of 1-4 steps in mixed directions, walked
+    # and read at every state, summed, and closed as traces; each chain
+    # gets an empty registry, so its first start holds id 0
+    rng = random.Random(14)
+    weights = ((0, 1), (0, 2), (1, 0), (2, 0))
+    for _ in range(60):
+        empty_registry(monkeypatch)
+        order = rng.randrange(9)
+        steps = [(rng.random() < 0.5,) + rng.choice(weights) for _ in range(rng.randint(1, 4))]
+        pool = partitions_up_to(min(order, 5))
+        starts = {lam: rng.randrange(order - lam.size + 1) if lam.size <= order else 0
+                  for lam in rng.sample(pool, rng.randint(1, min(4, len(pool))))}
+        packed_against_lists(starts, steps, order, m=rng.randrange(2))
+        walked = _walk(starts, steps, order)
+        # a partition past every reachable size is never met, and reads as zeros
+        far = Partition((order + 6,))
+        assert far not in partitions._ids
+        assert _at(walked, far, order) == [0] * (order + 1)
+        closed = steps + [(rng.random() < 0.5, 0, 0)]
+        assert _trace(closed, order) == reference_trace(closed, order), (order, closed)
+    # skew_schur_z reads a lam no walk reached as the zero series
+    empty_registry(monkeypatch)
+    lam = Partition((9, 8))
+    got = skew_schur_z(lam, (1,), (1, 2), 6)
+    assert lam not in partitions._ids
+    assert list(got.coeffs) == [0] * 7
+    assert skew_schur_z((2, 1), (1,), (1, 2), 6) != got
