@@ -72,14 +72,11 @@ def psi_eval(params, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    v, r, b, p = params.v, params.r, params.b, params.p
     try:
         value = (
-            v
-            * math.sqrt(p * (1 - p) / (2 * math.pi))
-            * r ** (b + (1 - p) / 2)
-            / n ** (b + 1 - p / 2)
-            * math.exp(n**p * r ** (1 - p))
+            prefactor(params)
+            / n ** n_exponent(params)
+            * math.exp(n**params.p * growth_rate(params))
         )
     except OverflowError:
         value = math.inf

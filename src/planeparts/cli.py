@@ -166,23 +166,34 @@ def cmd_verify(args, out):
 TABLE_ROWS = (("dspp", "++"), ("scp", "--"))
 
 
+def _table_estimate(params, n):
+    try:
+        return asymptotics.psi_table_value(params, n)
+    except OverflowError:
+        raise ValueError("n = %d is too large: psi_n is past the float range" % n) from None
+
+
 def cmd_table(args, out):
     ns = args.n or [5, 10, 15, 20]
     if any(n < 1 for n in ns):
         raise ValueError("table entries need n >= 1")
     order = max(ns)
+    # the estimates first: an n past the float range is refused before
+    # any product is expanded
+    estimates = [
+        [_table_estimate(FAMILIES[family].params(parse_profile(text)), n) for n in ns]
+        for family, text in TABLE_ROWS
+    ]
     rows = []
-    for family, profile_text in TABLE_ROWS:
-        delta = parse_profile(profile_text)
-        gf = FAMILIES[family].gf(delta, order)
-        params = FAMILIES[family].params(delta)
+    for (family, profile_text), estimate in zip(TABLE_ROWS, estimates):
+        gf = FAMILIES[family].gf(parse_profile(profile_text), order)
         rows.append(
             {
                 "family": family,
                 "profile": profile_text,
                 "n": list(ns),
                 "exact": [str(gf[n]) for n in ns],
-                "estimate": [asymptotics.psi_table_value(params, n) for n in ns],
+                "estimate": estimate,
             }
         )
     if args.format == "json":

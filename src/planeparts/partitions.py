@@ -5,31 +5,32 @@ terms differ by a horizontal strip, so this module fixes the partition
 encoding once and for all: a weakly decreasing tuple of positive parts,
 with no trailing zeros, so that equal partitions are equal tuples and can
 key dictionaries directly.  Only the public constructor Partition(parts)
-checks that encoding; the enumerators here, partitions_of and _strips,
-produce valid parts by construction and build theirs with
-tuple.__new__(Partition, parts), which skips the check.  A Partition
-has no instance dict, and partitions_of builds each size's partitions
-once per process.
+checks that encoding; partitions_of produces valid parts by
+construction and builds its Partitions with tuple.__new__, which skips
+the check.  A Partition has no instance dict, and partitions_of builds
+each size's partitions once per process.  A plain tuple of the same
+parts is equal to the Partition and hashes alike.
 
 It also owns the one transfer built on that relation.  Inside it a
 state is a small int: a process-wide registry numbers every partition
 the transfer meets once (_number) and keeps, per id, the partition, its
 size, its first part and its partner tables in both directions, so
-every partner value is one shared object.  A chain is a list of
-(up, a, m) steps; _strip_step moves a map from state ids to truncated
-coefficient vectors across one of them, turning the order into a
-window of sizes and reading the partners of each state in that
-window, in either direction, off the state's partner table: its
-partners' ids graded by size, enumerated by the one enumerator,
-_strips, only as far as some step has asked (_grow).  _walk numbers its
-starts and takes a chain's steps in turn, and _trace sums a chain over
-its closed walks, lam^0 = lam^h.  _live_starts reads off the same
-window the starts a chain's first step can move at all: _trace's
-betas, and the counting oracles' open starts; _live_count counts them
-for the counting oracles' memory guard.  The counting oracles and both
-sides of every skew Schur identity only say which steps their chains
-take, with partitions going in and lists coming out; ids never leave
-this module.
+every partner value is one shared object.  The partners, and the
+down-starts of _live_starts, are plain tuples, which the garbage
+collector untracks.  A chain is a list of (up, a, m) steps; _strip_step
+moves a map from state ids to truncated coefficient vectors across one
+of them, turning the order into a window of sizes and reading the
+partners of each state in that window, in either direction, off the
+state's partner table: its partners' ids graded by size, one entry per
+size bucket of the one enumerator, _strips, grown only as far as some
+step has asked (_grow).  _walk numbers its starts and takes a chain's
+steps in turn, and _trace sums a chain over its closed walks,
+lam^0 = lam^h.  _live_starts reads off the same window the starts a
+chain's first step can move at all: _trace's betas, and the counting
+oracles' open starts; _live_count counts them for the counting oracles'
+memory guard.  The counting oracles and both sides of every skew Schur
+identity only say which steps their chains take, with partitions going
+in and lists coming out; ids never leave this module.
 
 Inside the transfer a coefficient vector c_0..c_order is one int with
 W-bit slots, sum_d c_d << d*W, so a move is one shift and one mask,
@@ -41,7 +42,6 @@ _trace unpack at the end, so callers see only lists.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, groupby
 
 
 class Partition(tuple):
@@ -49,9 +49,10 @@ class Partition(tuple):
 
     The empty partition is ``Partition()``.  Instances behave as plain
     tuples (hashable, comparable) and render as ``[5,2,1]`` / ``[]``.
-    Partition(parts) raises ValueError on bad parts; the enumerators of
-    this module build instances with tuple.__new__, unchecked, from parts
-    valid by construction.
+    Partition(parts) raises ValueError on bad parts; partitions_of
+    builds instances with tuple.__new__, unchecked, from parts valid by
+    construction.  It is the public, validating type; the transfer's
+    partners are plain tuples.
     """
 
     __slots__ = ()
@@ -140,15 +141,16 @@ def partitions_up_to(n):
 
 
 def _strips(mu, up, lo, hi):
-    """All lam with mu ≺ lam (up) or lam ≺ mu (down) and lo <= |lam| <= hi.
+    """The lam with mu ≺ lam (up) or lam ≺ mu (down) and lo <= |lam| <= hi,
+    as one list per size lo..hi of plain tuples.
 
     Interlacing bounds each part of lam by mu alone: up, part i lies in
     [mu_i, mu_{i-1}] (mu_0 read as hi, mu_{n+1} as 0); down, in
     [mu_{i+1}, mu_i].  So the sizes the later parts can still add form
-    one interval, and parts are chosen first to last, each value tried
-    only while |lam| can still land in [lo, hi].  Each lam is returned
-    once, by size, and in lexicographic order of its padded parts within
-    a size.
+    one interval, and one breadth-first pass extends each kept prefix by
+    every value of the next part that can still bring |lam| into
+    [lo, hi].  Each lam is listed once, in lexicographic order of its
+    padded parts within a size.
     """
     if up:
         lows, highs = mu + (0,), (hi,) + mu
@@ -160,26 +162,21 @@ def _strips(mu, up, lo, hi):
     for i in range(n - 1, -1, -1):
         rest_lo[i] = rest_lo[i + 1] + lows[i]
         rest_hi[i] = rest_hi[i + 1] + highs[i]
+    # the kept prefixes, each with its sum; the ranges keep |lam| in the
+    # window, and with no parts to choose (down from the empty
+    # partition), only this test does
+    level = [((), 0)] if max(lo, rest_lo[0]) <= min(hi, rest_hi[0]) else []
+    for low, high, add_lo, add_hi in zip(lows, highs, rest_lo[1:], rest_hi[1:]):
+        # only the last part's range reaches 0, which adds no part
+        level = [
+            (row + (v,) if v else row, spent + v)
+            for row, spent in level
+            for v in range(max(low, lo - spent - add_hi), min(high, hi - spent - add_lo) + 1)
+        ]
     out = [[] for _ in range(lo, hi + 1)]
-    row = [0] * n
-
-    def rec(i, spent):
-        if i == n:
-            # only the last part's range reaches 0
-            out[spent - lo].append(tuple.__new__(Partition, row if row and row[-1] else row[:-1]))
-            return
-        for v in range(
-            max(lows[i], lo - spent - rest_hi[i + 1]),
-            min(highs[i], hi - spent - rest_lo[i + 1]) + 1,
-        ):
-            row[i] = v
-            rec(i + 1, spent + v)
-
-    # the ranges keep |lam| in the window; with no parts to choose
-    # (down from the empty partition), only this test does
-    if max(lo, rest_lo[0]) <= min(hi, rest_hi[0]):
-        rec(0, 0)
-    return tuple(chain.from_iterable(out))
+    for row, spent in level:
+        out[spent - lo].append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +213,14 @@ def _grow(mu, up, least, hi):
     Entry i is the tuple of the ids of mu's partners of size least + i,
     least being |mu| up and |mu| - mu_1 down.  Every size from least on
     (down, through |mu|) has a partner, so a window of sizes is a slice
-    of the table.  The table is extended only as far as some step has
-    asked, and every step that meets mu again reuses it.
+    of the table, and each size bucket of _strips is one entry.  The
+    table is extended only as far as some step has asked, and every step
+    that meets mu again reuses it.
     """
     tables = _tables[up]
     table = tables[mu]
-    found = _number(_strips(_parts[mu], up, least + len(table), hi))
-    table += tuple(tuple(group) for _, group in groupby(found, _sizes.__getitem__))
+    found = _strips(_parts[mu], up, least + len(table), hi)
+    table += tuple(tuple(_number(lams)) for lams in found)
     tables[mu] = table
     return table
 
@@ -345,11 +343,11 @@ def _live_starts(steps, order):
     top = order // (m + 1)
     if up or not m:
         return {lam: s for s in range(top + 1) for lam in partitions_of(s)}
-    starts = {EMPTY: 0}
+    starts = {(): 0}
     for s in range(top + 1):
         for nu in partitions_of(s):
             for k in range(nu[0] if nu else 1, order - (m + 1) * s + 1):
-                starts[tuple.__new__(Partition, (k,) + nu)] = k + s
+                starts[(k,) + nu] = k + s
     return starts
 
 
@@ -359,7 +357,7 @@ def _live_count(steps, order):
     top = order // (m + 1)
     if up or not m:
         return _partition_count(top)
-    # EMPTY, then each nu with its choices of k
+    # the empty partition, then each nu with its choices of k
     return 1 + sum(
         max(0, order - (m + 1) * s - (nu[0] if nu else 1) + 1)
         for s in range(top + 1)

@@ -18,11 +18,12 @@ power of z, moves through the steps, and is then read at one partition
 truncated coefficient vectors as ints with W-bit slots, W proven per
 walk from the chain's length, the order and the largest start
 coefficient; this module passes start degrees and kernel lists and
-reads back lists.  The cylindric and
-p94A left sides close the chain, lam^0 = lam^h, and are traces,
-partitions._trace.  All substituted exponents are >= 1, so every step
-costs at least its size change, which bounds the reachable states and
-makes the truncated sums finite.
+reads back lists.  The cylindric left side closes the chain,
+lam^0 = lam^h, and is a trace, partitions._trace.  The lemmas and the
+textbook identities p93A and p94A are instances of the three summation
+formulas; only p93B has walks of its own.  All substituted exponents
+are >= 1, so every step costs at least its size change, which bounds
+the reachable states and makes the truncated sums finite.
 
 The products on the right-hand sides are assembled from the two kernels
 
@@ -121,16 +122,6 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# left-hand sides: the closed chains are _trace(_zigzag(...), order)
-
-
-def _complete_lhs(x_alphas, y_alphas, order):
-    """Sum over every chain of the zigzag weights times z^|lam^h|."""
-    starts = dict.fromkeys(partitions_up_to(order), 0)
-    return _collect(_walk(starts, _zigzag(x_alphas, y_alphas), order, order), order, 1)
-
-
-# ---------------------------------------------------------------------------
 # right-hand sides, as exponent maps for series._expand
 
 
@@ -185,7 +176,9 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
 
     if which == "complete":
         rhs = _expand(pair + _complete_exponents(x_all, x_all + y_all, order), order)
-        lhs = _complete_lhs(x_alphas, y_alphas, order)
+        # every chain from every start, times z^|lam^h|
+        starts = dict.fromkeys(partitions_up_to(order), 0)
+        lhs = _collect(_walk(starts, _zigzag(x_alphas, y_alphas), order, order), order, 1)
         return IdentityReport("complete", params, order, lhs, rhs)
 
     if which == "cylindric":
@@ -234,32 +227,31 @@ def verify_summation(which, delta, z_exponents=None, endpoints=None, order=8):
 
 
 # ---------------------------------------------------------------------------
-# the two lemmas and the three textbook identities
+# the two lemmas and the three textbook identities: all but p93B are
+# instances of the summation formulas, reported under their own names
 
 
 def verify_lemma_s1(alpha, order=8):
     """sum_{mu, tau} z^|mu| s_{mu/tau}(X) = prod_{k>=1} phi(z^k X)/(1-z^k).
 
-    The left side is the complete chain with one up-step in X.
+    The complete formula for one up-step in X.
     """
     alpha = _normalize_alphabet(alpha)
-    rhs = _expand(_complete_exponents((), alpha, order), order)
-    lhs = _complete_lhs(((),), (alpha,), order)
-    return IdentityReport("lemma_s1", {"alphabet": list(alpha)}, order, lhs, rhs)
+    report = verify_alternating_summation("complete", ((),), (alpha,), order=order)
+    return IdentityReport("lemma_s1", {"alphabet": list(alpha)}, order, report.lhs, report.rhs)
 
 
 def verify_lemma_s2(x_alpha, y_alpha, order=8):
     """sum_{lam,mu,gamma} z^|mu| s_{mu/gamma}(X) s_{lam/gamma}(Y)
     = phi(Y) prod_{k>=1} phi(z^k (X+Y))/(1-z^k).
 
-    The left side is the complete chain lam ⊇ gamma ⊆ mu: down in Y, up in X.
+    The complete formula for the chain lam ⊇ gamma ⊆ mu: down in Y, up in X.
     """
     x_alpha = _normalize_alphabet(x_alpha)
     y_alpha = _normalize_alphabet(y_alpha)
-    rhs = _expand(_complete_exponents(y_alpha, x_alpha + y_alpha, order), order)
-    lhs = _complete_lhs((y_alpha,), (x_alpha,), order)
+    report = verify_alternating_summation("complete", (y_alpha,), (x_alpha,), order=order)
     params = {"x_alphabet": list(x_alpha), "y_alphabet": list(y_alpha)}
-    return IdentityReport("lemma_s2", params, order, lhs, rhs)
+    return IdentityReport("lemma_s2", params, order, report.lhs, report.rhs)
 
 
 def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPTY, order=8):
@@ -271,27 +263,20 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
     'p94A':  sum_{lam, gamma} z^|lam| s_{lam/gamma}(X) s_{lam/gamma}(Y)
              = prod_{k>=1} psi(z^k X, Y)/(1-z^k)
 
-    p94A's left side is the closed chain lam ⊇ gamma ⊆ lam.
+    p93A is the open formula for the chain lam ⊆ rho ⊇ mu, up in X and
+    down in Y; p94A is the cylindric formula for the closed chain
+    lam ⊇ gamma ⊆ lam.
     """
     x_alpha = _normalize_alphabet(x_alpha)
     y_alpha = _normalize_alphabet(y_alpha)
+    params = {"x_alphabet": list(x_alpha), "y_alphabet": list(y_alpha)}
 
     if which == "p93A":
-        lam = Partition(lam)
-        mu = Partition(mu)
-        kernel = _expand(_psi(x_alpha, y_alpha, order), order)
-        # rho/lam and rho/mu cost |rho| - |lam| and |rho| - |mu| at least
-        rho_max = max((order + lam.size + mu.size) // 2, lam.size, mu.size)
-        steps = _letters(True, x_alpha) + _letters(False, y_alpha)
-        lhs = _walk({lam: 0}, steps, order, rho_max)
-        rhs = _walk({lam: 0}, _zigzag((y_alpha,), (x_alpha,)), order, mu.size, kernel)
-        params = {
-            "x_alphabet": list(x_alpha),
-            "y_alphabet": list(y_alpha),
-            "lam": list(lam),
-            "mu": list(mu),
-        }
-        return IdentityReport("p93A", params, order, _at(lhs, mu, order), _at(rhs, mu, order))
+        report = verify_alternating_summation(
+            "open", ((), y_alpha), (x_alpha, ()), endpoints=(lam, mu), order=order
+        )
+        params["lam"], params["mu"] = report.params["endpoints"]
+        return IdentityReport("p93A", params, order, report.lhs, report.rhs)
 
     if which == "p93B":
         nu = Partition(nu)
@@ -302,10 +287,8 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
         return IdentityReport("p93B", params, order, lhs, rhs)
 
     if which == "p94A":
-        rhs = _expand(_cylindric_exponents(x_alpha, y_alpha, order), order)
-        lhs = _trace(_zigzag((x_alpha,), (y_alpha,)), order)
-        params = {"x_alphabet": list(x_alpha), "y_alphabet": list(y_alpha)}
-        return IdentityReport("p94A", params, order, lhs, rhs)
+        report = verify_alternating_summation("cylindric", (x_alpha,), (y_alpha,), order=order)
+        return IdentityReport("p94A", params, order, report.lhs, report.rhs)
 
     raise ValueError("unknown identity %r" % (which,))
 

@@ -150,6 +150,18 @@ def test_table_custom_n():
     assert isinstance(rows["dspp"]["estimate"][0], int)
 
 
+def test_table_past_the_float_range_is_usage_error():
+    # psi_70000 for dspp ++ is past the float range: refused before the
+    # products are expanded, which would take minutes
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["table", "--n", "5", "70000"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.getvalue() == "error: n = 70000 is too large: psi_n is past the float range\n"
+
+
 def test_verify_exit_codes_and_fault_injection():
     code, out = run_cli(["verify", "--max-len", "1", "--order", "5"])
     assert code == 0

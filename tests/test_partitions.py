@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -39,6 +40,11 @@ def brute_partitions(n, cap=None):
         for rest in brute_partitions(n - first, first):
             out.append((first,) + rest)
     return out
+
+
+def strips(mu, up, lo, hi):
+    """_strips' size buckets joined into one tuple, smallest size first."""
+    return tuple(lam for bucket in _strips(mu, up, lo, hi) for lam in bucket)
 
 
 def test_partition_validation():
@@ -122,15 +128,15 @@ def test_partitions_up_to_each_exactly_once():
 
 
 def test_successors_examples():
-    assert set(_strips((), True, 0, 2)) == {(), (1,), (2,)}
-    assert set(_strips((1,), True, 0, 3)) == {(1,), (2,), (3,), (1, 1), (2, 1)}
-    assert set(_strips((2, 2), True, 0, 4)) == {(2, 2)}
+    assert set(strips((), True, 0, 2)) == {(), (1,), (2,)}
+    assert set(strips((1,), True, 0, 3)) == {(1,), (2,), (3,), (1, 1), (2, 1)}
+    assert set(strips((2, 2), True, 0, 4)) == {(2, 2)}
 
 
 def test_successors_equal_filter_oracle():
     for mu in partitions_up_to(5):
         for bound in range(mu.size, 8):
-            got = set(_strips(mu, True, 0, bound))
+            got = set(strips(mu, True, 0, bound))
             expect = {
                 lam for lam in partitions_up_to(bound) if is_horizontal_strip(lam, mu)
             }
@@ -139,13 +145,13 @@ def test_successors_equal_filter_oracle():
 
 def test_successors_no_duplicates():
     for mu in partitions_up_to(5):
-        got = _strips(mu, True, 0, 8)
+        got = strips(mu, True, 0, 8)
         assert len(got) == len(set(got))
 
 
 def test_predecessors_equal_filter_oracle():
     for mu in partitions_up_to(7):
-        got = set(_strips(mu, False, 0, mu.size))
+        got = set(strips(mu, False, 0, mu.size))
         expect = {nu for nu in partitions_up_to(mu.size) if is_horizontal_strip(mu, nu)}
         assert got == expect, mu
 
@@ -162,7 +168,7 @@ def test_strips_equal_filter_oracle():
             ]
             for lo in range(top + 1):
                 for hi in range(lo, top + 1):
-                    got = _strips(mu, up, lo, hi)
+                    got = strips(mu, up, lo, hi)
                     assert len(got) == len(set(got)), (mu, up, lo, hi)
                     expect = {lam for lam in partners if lo <= lam.size <= hi}
                     assert set(got) == expect, (mu, up, lo, hi)
@@ -195,8 +201,8 @@ def test_partner_tables_are_graded_slices(monkeypatch):
                     if len(table) <= hi - least:
                         table = _grow(i, up, least, hi)
                     for lo in range(least, hi + 1):
-                        got = _strips(mu, up, lo, hi)
-                        expect = [tuple(lam for lam in got if lam.size == s)
+                        got = strips(mu, up, lo, hi)
+                        expect = [tuple(lam for lam in got if sum(lam) == s)
                                   for s in range(lo, hi + 1)]
                         window = [tuple(partitions._parts[j] for j in group)
                                   for group in table[lo - least : hi - least + 1]]
@@ -233,7 +239,7 @@ def test_registry_round_trips_ids_sizes_and_tables(monkeypatch):
             table = partitions._tables[up][i]
             grown += bool(table)
             for k, group in enumerate(table):
-                assert list(group) == _number(_strips(lam, up, least + k, least + k)), (lam, up, k)
+                assert list(group) == _number(strips(lam, up, least + k, least + k)), (lam, up, k)
     assert grown and len(parts) == len(partitions._ids)
 
 
@@ -247,17 +253,34 @@ def test_live_count_counts_the_live_starts():
 
 
 def test_enumerators_build_valid_partitions():
-    # partitions_of and _strips build with tuple.__new__, skipping the
-    # constructor's check, so what they build must pass it
-    built = [lam for n in range(13) for lam in partitions_of(n)]
-    for mu in partitions_up_to(6):
-        for up in (True, False):
-            built.extend(_strips(mu, up, 0, 12))
-    for lam in built:
+    # partitions_of builds Partitions with tuple.__new__, skipping the
+    # constructor's check, and _strips builds plain tuples, so what
+    # either builds must pass it
+    for lam in (lam for n in range(13) for lam in partitions_of(n)):
         assert type(lam) is Partition, lam
         assert Partition(tuple(lam)) == lam
         assert lam.size == sum(lam)
+    for mu in partitions_up_to(6):
+        for up in (True, False):
+            for lam in strips(mu, up, 0, 12):
+                assert type(lam) is tuple, lam
+                assert Partition(lam) == lam
     assert not hasattr(Partition((2, 1)), "__dict__")
+
+
+def test_strips_leave_no_garbage_cycles():
+    # _strips' partners are freed by reference counting alone: with the
+    # collector off, enumerating leaves nothing for it to find
+    gc.collect()
+    gc.disable()
+    try:
+        for mu in partitions_up_to(6):
+            for up in (True, False):
+                for lo, hi in ((0, 12), (sum(mu), sum(mu) + 3), (3, 5)):
+                    _strips(mu, up, lo, hi)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_partitions_built_once_per_size():
@@ -272,16 +295,16 @@ def test_partitions_built_once_per_size():
 def reference_step(dist, up, order, a, m, cap=None, candidates=None):
     """The strip step by brute force: every partition is a candidate,
     unless candidates(mu) names fewer."""
-    largest = max((mu.size for mu in dist), default=0) + order
+    largest = max(map(sum, dist), default=0) + order
     out = {}
     for mu, vec in dist.items():
         for lam in partitions_up_to(largest) if candidates is None else candidates(mu):
             if up:
-                if not is_horizontal_strip(lam, mu) or (cap is not None and lam.size > cap):
+                if not is_horizontal_strip(lam, mu) or (cap is not None and sum(lam) > cap):
                     continue
             elif not is_horizontal_strip(mu, lam):
                 continue
-            w = a * abs(lam.size - mu.size) + m * lam.size
+            w = a * abs(sum(lam) - sum(mu)) + m * sum(lam)
             moved = [0] * w + list(vec[: max(order + 1 - w, 0)])
             if any(moved):
                 acc = out.setdefault(lam, [0] * (order + 1))
@@ -320,7 +343,7 @@ def test_live_starts_are_the_movable_starts():
                          if _strip_step({_number([lam])[0]: 1 << lam.size * width}, up, order,
                                         a, m, width)]
                 assert set(live) == set(moved), (order, up, a, m)
-                assert all(s == lam.size and Partition(tuple(lam)) == lam
+                assert all(s == sum(lam) and Partition(lam) == lam
                            for lam, s in live.items())
                 if m == 0:
                     # strip weights start from partitions_of's own objects,
@@ -387,7 +410,8 @@ def packed_against_lists(starts, steps, order, cap=None, kernel=None, m=0):
 
     def candidates(mu, up):
         # every partner reference_step would keep: going up, to the cap
-        return _strips(mu, up, 0, mu.size if not up else mu.size + order if cap is None else cap)
+        size = sum(mu)
+        return strips(mu, up, 0, size if not up else size + order if cap is None else cap)
 
     for up, a, k in steps:
         dist = reference_step(dist, up, order, a, k, cap, lambda mu, up=up: candidates(mu, up))
@@ -401,8 +425,8 @@ def packed_against_lists(starts, steps, order, cap=None, kernel=None, m=0):
         assert _at(walked, lam, order) == vec
     total = [0] * (order + 1)
     for lam, vec in dist.items():
-        for d in range(m * lam.size, order + 1):
-            total[d] += vec[d - m * lam.size]
+        for d in range(m * sum(lam), order + 1):
+            total[d] += vec[d - m * sum(lam)]
     assert _collect(walked, order, m) == total
     return width, max([top] + total)
 
