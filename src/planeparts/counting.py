@@ -13,8 +13,11 @@ is a closed chain, lam^0 = lam^h, summed by partitions._trace; its last
 diagonal is lam^0 again and carries no weight of its own, so its
 closing step is (delta_h == 1, 0, 0).  States whose minimal accumulated
 degree exceeds the order are dropped, and a new state lam is only
-proposed while its own weight still fits, on up and on down steps alike,
-and no chain starts from a lam^0 its first step cannot move.
+proposed while its own weight, plus the least that the profile's later
+steps must charge for it, still fits, on up and on down steps alike:
+every cell of lam costs each later m until a down step removes it
+(partitions._ahead).  No chain starts from a lam^0 its first step
+cannot move.
 partitions keeps each vector as one int with W-bit slots, W proven from
 the chain's length and the order (partitions._width); this module sees
 only lists.  The bytes of the vectors and of the starts a walk keeps are
@@ -40,8 +43,8 @@ FILLING_ORDER_BOUND = 8
 # covers the start's Partition and its dict entries.  The vector term
 # is the only proven bound, and walks whose first step weighs the new
 # state hold far less: at the largest orders accepted, dspp "++" at 46
-# (estimate 234 MB) peaks at 42 MB, "+" at 47 (214 MB) at 41 MB, cp
-# "+-" at 46 (234 MB) at 29 MB and cp "+" at 44 (235 MB) at 105 MB.
+# (estimate 234 MB) peaks at 24 MB, "+" at 47 (214 MB) at 40 MB, cp
+# "+-" at 46 (234 MB) at 28 MB and cp "+" at 44 (235 MB) at 106 MB.
 # The start term is measured: a walk with no step keeps every start,
 # and gives none of them a transfer id (partitions._walk), so the empty
 # profile at order 45 (estimate 236 MB, 165 MB of it starts) peaks at

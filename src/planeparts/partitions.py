@@ -23,9 +23,13 @@ of them, turning the order into a window of sizes and reading the
 partners of each state in that window, in either direction, off the
 state's partner table: its partners' ids graded by size, one entry per
 size bucket of the one enumerator, _strips, grown only as far as some
-step has asked (_grow).  _walk numbers its starts and takes a chain's
-steps in turn, and _trace sums a chain over its closed walks,
-lam^0 = lam^h.  _live_starts reads off the same window the starts a
+step has asked (_grow).  The window charges the move and the least the
+rest of the chain must still pay from the new state (_ahead), so only
+states that can still end within the order are made.  _walk numbers its
+starts and takes a chain's steps in turn, told how it will be read: at
+one target partition, or summed with an end weight.  _trace sums a
+chain over its closed walks, lam^0 = lam^h, each walk targeted at its
+own start.  _live_starts reads off the move's own window the starts a
 chain's first step can move at all: _trace's betas, and the counting
 oracles' open starts; _live_count counts them for the counting oracles'
 memory guard.  The counting oracles and both sides of every skew Schur
@@ -275,21 +279,71 @@ def _unpack(v, width, order):
     return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
 
 
-def _strip_step(dist, up, order, a, m, width, cap=None):
+def _ahead(steps, end):
+    """Per step of a chain, (p, u, d): what the steps after it must charge.
+
+    A state of size t after step i pays at least max(p*t, u*(s-t)⁺ +
+    d*(t-s)⁺) on the rest of the chain and on a final weight
+    z^(end*|lam|), when it must end at size s.  Each of its t cells
+    either stays to the end, paying every later m and then end, or is
+    removed by a later down strip j, paying the m of the steps before j
+    and then a_j; p is the cheaper of those.  To end at s it must still
+    gain s - t cells in up strips, each paying at least u, the least a
+    of the later up steps, or shed t - s in down strips at d each; None
+    when no such step is left, which no state off s survives.  Both
+    terms charge down strips, so they bound the rest by their max, not
+    their sum.
+    """
+    out = []
+    p, u, d = end, None, None
+    for up, a, m in reversed(steps):
+        out.append((p, u, d))
+        if up:
+            p += m
+            u = a if u is None else min(u, a)
+        else:
+            p = min(p + m, a)
+            d = a if d is None else min(d, a)
+    out.reverse()
+    return out
+
+
+def _strip_step(dist, up, order, a, m, width, cap=None, ahead=(0, None, None), goal=None):
     """One single-letter horizontal-strip step of a transfer over partitions.
 
     dist maps the id of each state mu to its packed vector, truncated
     at order, and so does the map returned.  Every mu moves to each lam
     with mu ≺ lam (up) or lam ≺ mu (down), and the move multiplies by
     z^(a*|strip| + m*|lam|).  Up moves keep |lam| <= cap when a cap is
-    given.  Callers weigh either the strip or the new state, never both:
-    a == 0 or m == 0, and a + m >= 1.  The weight is then monotone in
-    |lam|, so the moves whose weight fits the order are those with |lam|
-    in one window, and only they are made.
+    given.  ahead is _ahead's bound on the rest of the chain for this
+    step, and goal the size the chain must end at, if any.  The move's
+    weight is linear in t = |lam| on each side of mu, and the bound on
+    the rest is the max of three lines in t, so the moves whose weight
+    and rest still fit the order have t in one window, cut by each line
+    in closed form, and only they are made.
     The window is a slice of mu's partner table, and all partners of one
     size take the same shift, so v is shifted once per size.
     """
+    # the weight is base + k*t, base = -a|mu| up and a|mu| down, and as
+    # u, d >= 0 the rest is at least max(p*t, u*(s-t), d*(t-s)); a move
+    # is made while base + c*t + e <= budget for every line (c, e) and
+    # lo_at <= t <= hi_at
+    k = a + m if up else m - a
+    p, u, d = ahead
+    lines = [(k + p, 0)]
+    lo_at, hi_at = 0, cap if up else None
+    # a zero u or d adds a line that the p line already implies
+    if goal is not None:
+        if u is None:
+            lo_at = goal
+        elif u:
+            lines.append((k - u, u * goal))
+        if d is None:
+            hi_at = goal if hi_at is None else min(hi_at, goal)
+        elif d:
+            lines.append((k + d, -d * goal))
     full = (1 << (order + 1) * width) - 1
+    stride = k * width
     ndist = {}
     get = ndist.get
     sizes, firsts, tables = _sizes, _firsts, _tables[up]
@@ -299,31 +353,39 @@ def _strip_step(dist, up, order, a, m, width, cap=None):
         budget = order - ((v & -v).bit_length() - 1) // width
         size = sizes[mu]
         if up:
-            # the weight is (a+m)|lam| - a|mu|
             least = lo = size
-            hi = (a * size + budget) // (a + m)
-            if cap is not None:
-                hi = min(hi, cap)
-            base, k = -a * size, a + m
+            hi = size + budget
+            base = -a * size
         else:
             # |lam| >= |mu| - mu_1 for every lam ≺ mu, where the table starts
-            least = size - firsts[mu]
-            if a:
-                lo, hi = max(size - budget // a, least), size
-            else:
-                lo, hi = least, min(budget // m, size)
-            base, k = a * size, m - a
+            least = lo = size - firsts[mu]
+            hi = size
+            base = a * size
+        room = budget - base
+        for c, e in lines:
+            if c > 0:
+                if (room - e) // c < hi:
+                    hi = (room - e) // c
+            elif c:
+                if -((room - e) // -c) > lo:
+                    lo = -((room - e) // -c)
+            elif room < e:
+                hi = -1
+        if lo < lo_at:
+            lo = lo_at
+        if hi_at is not None and hi > hi_at:
+            hi = hi_at
         if lo > hi:  # no move fits; asking would only grow the table
             continue
         table = tables[mu]
         if len(table) <= hi - least:
             table = _grow(mu, up, least, hi)
-        shift, k = (base + k * lo) * width, k * width
+        shift = (base + k * lo) * width
         for group in table[lo - least : hi - least + 1]:
             w = (v << shift) & full
             for lam in group:
                 ndist[lam] = get(lam, 0) + w
-            shift += k
+            shift += stride
     return ndist
 
 
@@ -331,8 +393,9 @@ def _live_starts(steps, order):
     """The starts lam, at z^|lam|, that a chain's first step (up, a, m) can
     move, as a map lam -> |lam|; with no steps, every start.
 
-    Read off _strip_step's window at budget order - |lam|.  A strip
-    weight (m == 0) lets every lam move to itself, so every partition of
+    Read off the move's own weight, as _strip_step's window is with
+    nothing ahead, at budget order - |lam|.  A strip weight (m == 0)
+    lets every lam move to itself, so every partition of
     size <= order is kept: partitions_of's own objects, in
     partitions_up_to's order.  Up with m >= 1, |lam'| >= |lam| makes the
     least move cost (m+1)|lam|, so |lam| <= order // (m+1).  Down with
@@ -365,16 +428,19 @@ def _live_count(steps, order):
     )
 
 
-def _walk(starts, steps, order, cap=None, kernel=None):
+def _walk(starts, steps, order, cap=None, kernel=None, target=None, end=0):
     """Take each (up, a, m) step of a chain in turn; up steps keep |lam| <= cap.
 
     starts maps each start state to its degree d; it starts at z^d, times
     the kernel (a coefficient list, nonnegative) when one is given.  An
     up step costs at least its strip and no weight is negative, so every
-    state has size <= max start size + order, or <= the cap.  Returns
-    what _collect and _at read: the final map, the width, and whether
-    the map is keyed by id.  Only a step needs ids, so a walk with no
-    step keeps its starts as they are, and numbers none of them.
+    state has size <= max start size + order, or <= the cap.  The walk
+    is told how it will be read: at the partition target (_at), or
+    summed with weight z^(end*|lam|) (_collect); each step then keeps
+    only the states that can still end there within the order (_ahead).
+    Returns what _collect and _at read: the final map, the width, and
+    whether the map is keyed by id.  Only a step needs ids, so a walk
+    with no step keeps its starts as they are, and numbers none of them.
     """
     biggest = max(map(sum, starts))
     size = biggest + order if cap is None else min(biggest + order, max(biggest, cap))
@@ -383,8 +449,9 @@ def _walk(starts, steps, order, cap=None, kernel=None):
     full = (1 << (order + 1) * width) - 1
     keys = _number(starts) if steps else starts
     dist = {k: (unit << d * width) & full for k, d in zip(keys, starts.values())}
-    for up, a, m in steps:
-        dist = _strip_step(dist, up, order, a, m, width, cap)
+    goal = None if target is None else sum(target)
+    for (up, a, m), ahead in zip(steps, _ahead(steps, end)):
+        dist = _strip_step(dist, up, order, a, m, width, cap, ahead, goal)
     return dist, width, bool(steps)
 
 
@@ -411,7 +478,10 @@ def _trace(steps, order):
     beta interlace in its direction, and adds its vector shifted by
     a*|strip| + m*|beta|.  So a closing step may have zero weight,
     a == m == 0, which _strip_step cannot take; the empty chain closes
-    through such a step from beta to itself.  Every state has size
+    through such a step from beta to itself.  Each body step keeps only
+    the states that can still close at beta within the order, the
+    closing step counted among the steps ahead (_ahead, with no end
+    weight: beta was weighed at the start).  Every state has size
     <= order, and one width serves every beta, so the closing vectors
     are summed packed.  Each beta is numbered to take the body's steps,
     and each end state is tested as the registry's tuple; with no body
@@ -425,11 +495,12 @@ def _trace(steps, order):
     width = _width(1, order, len(body) + 1)
     full = (1 << (order + 1) * width) - 1
     total = 0
+    aheads = _ahead(steps, 0)
     betas = _live_starts(steps, order)
     for key, (beta, size) in zip(_number(betas) if body else betas, betas.items()):
         dist = {key: 1 << size * width}
-        for b_up, b_a, b_m in body:
-            dist = _strip_step(dist, b_up, order, b_a, b_m, width)
+        for (b_up, b_a, b_m), ahead in zip(body, aheads):
+            dist = _strip_step(dist, b_up, order, b_a, b_m, width, None, ahead, size)
         for mu, v in zip(map(_parts.__getitem__, dist), dist.values()) if body else dist.items():
             if is_horizontal_strip(beta, mu) if up else is_horizontal_strip(mu, beta):
                 total += (v << (a * abs(size - sum(mu)) + m * size) * width) & full

@@ -14,7 +14,9 @@ weights its strip by z^(a*|strip|); so a factor in k letters is k steps
 (up, a, 0) of partitions._walk, the transfer the counting oracles use
 as well.  A walk starts at one partition or at all of them, each at a
 power of z, moves through the steps, and is then read at one partition
-(partitions._at) or summed (partitions._collect).  partitions keeps its
+(partitions._at) or summed (partitions._collect); the walk is told
+which, the target partition or the end weight, so it makes only the
+states that can still end there within the order.  partitions keeps its
 truncated coefficient vectors as ints with W-bit slots, W proven per
 walk from the chain's length, the order and the largest start
 coefficient; this module passes start degrees and kernel lists and
@@ -80,7 +82,7 @@ def skew_schur_z(lam, mu, alphabet, order):
     lam = Partition(lam)
     mu = Partition(mu)
     alphabet = _normalize_alphabet(alphabet)
-    walked = _walk({mu: 0}, _letters(True, alphabet), order, lam.size)
+    walked = _walk({mu: 0}, _letters(True, alphabet), order, lam.size, target=lam)
     return TruncatedSeries(order, _at(walked, lam, order))
 
 
@@ -178,7 +180,7 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
         rhs = _expand(pair + _complete_exponents(x_all, x_all + y_all, order), order)
         # every chain from every start, times z^|lam^h|
         starts = dict.fromkeys(partitions_up_to(order), 0)
-        lhs = _collect(_walk(starts, _zigzag(x_alphas, y_alphas), order, order), order, 1)
+        lhs = _collect(_walk(starts, _zigzag(x_alphas, y_alphas), order, order, end=1), order, 1)
         return IdentityReport("complete", params, order, lhs, rhs)
 
     if which == "cylindric":
@@ -190,8 +192,8 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
         # rhs: psi pairs times sum_gamma s_{lam0/gamma}(X) s_{lamh/gamma}(Y)
         kernel = _expand(pair, order)
         lam0, lamh = (EMPTY, EMPTY) if endpoints is None else map(Partition, endpoints)
-        rhs = _walk({lam0: 0}, _zigzag((x_all,), (y_all,)), order, lamh.size, kernel)
-        lhs = _walk({lam0: 0}, _zigzag(x_alphas, y_alphas), order)
+        rhs = _walk({lam0: 0}, _zigzag((x_all,), (y_all,)), order, lamh.size, kernel, lamh)
+        lhs = _walk({lam0: 0}, _zigzag(x_alphas, y_alphas), order, target=lamh)
         params["endpoints"] = [list(lam0), list(lamh)]
         return IdentityReport("open", params, order, _at(lhs, lamh, order), _at(rhs, lamh, order))
 
@@ -302,6 +304,12 @@ PAIR_ALPHABETS = ((), (1,), (2,), (1, 2))
 MACDONALD_OUTER = ((), (1,), (2, 1), (1, 1))
 OPEN_ENDPOINTS = (((), ()), ((1,), (1,)), ((2,), (1, 1)))
 EXPONENT_CHOICES = (1, 2)
+# The most profile cases a battery may list.  Each length h adds 2^h
+# profiles times 2^h exponent choices, four checks each: 4^(h+1) cases,
+# every report (about 1.4 kB at order 8) kept to the end.  So max_len 7
+# (87,376 cases) is the longest accepted, and a longer one is refused
+# before a profile is built.
+MAX_BATTERY_CASES = 100_000
 
 
 def battery_cases(max_len=3, order=8):
@@ -309,6 +317,14 @@ def battery_cases(max_len=3, order=8):
     that each run one check and return its IdentityReport."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative, got %d" % max_len)
+    listed = 0
+    for h in range(1, max_len + 1):
+        listed += 4 ** (h + 1)
+        if listed > MAX_BATTERY_CASES:
+            raise ValueError(
+                "max_len %d lists more than the %d identity checks the battery allows"
+                % (max_len, MAX_BATTERY_CASES)
+            )
     # Lambdas, not partials: each looks its target up when called, so a
     # verifier rebound in this module (by a tracer or a profiler) is the one that runs.
     cases = []

@@ -1,7 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from planeparts import cli
 from planeparts.cli import main
@@ -177,6 +182,24 @@ def test_verify_exit_codes_and_fault_injection():
     assert json.loads(lines[-1])["failures"] == 1
     failing = [json.loads(line) for line in lines[:-1] if not json.loads(line)["passed"]]
     assert len(failing) == 1 and failing[0]["first_mismatch"] == 0
+
+
+def test_verify_refuses_an_oversized_battery_under_a_memory_limit():
+    # --max-len 30 would list 2^30 profiles: under a 2 GB address space
+    # it must be refused as bad input (exit 2), not end in MemoryError
+    # (exit 3); the limit is set in the child only
+    limit = 2 << 30
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from planeparts.cli import main; sys.exit(main())",
+         "verify", "--max-len", "30"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: max_len 30 lists more than the 100000 identity checks")
 
 
 def test_verify_depth_shrinks_cases():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from planeparts import partitions
-from planeparts.counting import _steps
+from planeparts.counting import _steps, count_dspp
 from planeparts.partitions import (
     EMPTY,
     Partition,
@@ -397,16 +397,15 @@ def test_trace_equals_reference_trace():
             assert _trace(steps, order) == reference_trace(steps, order), (order, steps)
 
 
-def packed_against_lists(starts, steps, order, cap=None, kernel=None, m=0):
-    """Walk starts (state -> degree, times the kernel) packed and as lists
-    of reference steps, compare the states and the final sum weighted
-    z^(m*|lam|), and return the walk's width and the largest coefficient
-    the lists reached.  The list steps take each state's partners from
-    _strips, checked against the filter oracle above, since every
-    partition up to twice the order would be too many candidates."""
+def reference_walk(starts, steps, order, cap=None, kernel=None):
+    """The maps of a walk of reference steps from starts (state -> degree,
+    times the kernel), the start map first.  Each step takes a state's
+    partners from _strips, checked against the filter oracle above,
+    since every partition up to twice the order would be too many
+    candidates."""
     unit = list(kernel or [1])
     dist = {lam: ([0] * d + unit + [0] * order)[: order + 1] for lam, d in starts.items()}
-    top = max(max(vec) for vec in dist.values())
+    out = [dist]
 
     def candidates(mu, up):
         # every partner reference_step would keep: going up, to the cap
@@ -415,7 +414,18 @@ def packed_against_lists(starts, steps, order, cap=None, kernel=None, m=0):
 
     for up, a, k in steps:
         dist = reference_step(dist, up, order, a, k, cap, lambda mu, up=up: candidates(mu, up))
-        top = max([top] + [max(vec) for vec in dist.values()])
+        out.append(dist)
+    return out
+
+
+def packed_against_lists(starts, steps, order, cap=None, kernel=None, m=0):
+    """Walk starts (state -> degree, times the kernel) packed and as lists
+    of reference steps, compare the states and the final sum weighted
+    z^(m*|lam|), and return the walk's width and the largest coefficient
+    the lists reached."""
+    maps = reference_walk(starts, steps, order, cap, kernel)
+    dist = maps[-1]
+    top = max(max(vec) for states in maps for vec in states.values())
     walked = _walk(starts, steps, order, cap, kernel)
     packed, width, by_id = walked
     assert by_id == bool(steps)
@@ -489,3 +499,57 @@ def test_random_chains_equal_the_references(monkeypatch):
     assert lam not in partitions._ids
     assert list(got.coeffs) == [0] * 7
     assert skew_schur_z((2, 1), (1,), (1, 2), 6) != got
+
+
+def test_lookahead_reads_equal_the_references(monkeypatch):
+    # random chains in mixed directions, weighing strips, states or both,
+    # each read the three ways the callers read a walk: at one target
+    # partition below or above the starts (_at), summed with end weight
+    # z^|lam| (_collect), and closed by a step of any weight, zero weight
+    # included (_trace).  Each read lets the walk drop the states that
+    # cannot end there within the order (_ahead), and must lose nothing.
+    rng = random.Random(16)
+    weights = ((0, 1), (0, 2), (1, 0), (2, 0), (1, 1))
+    for _ in range(80):
+        empty_registry(monkeypatch)
+        order = rng.randrange(1, 9)
+        steps = [(rng.random() < 0.5,) + rng.choice(weights) for _ in range(rng.randint(1, 4))]
+        pool = partitions_up_to(min(order, 5))
+        starts = {lam: rng.randrange(order - lam.size + 1) if lam.size <= order else 0
+                  for lam in rng.sample(pool, rng.randint(1, min(3, len(pool))))}
+        ends = reference_walk(starts, steps, order)[-1]
+        total = [0] * (order + 1)
+        for lam, vec in ends.items():
+            for d in range(sum(lam), order + 1):
+                total[d] += vec[d - sum(lam)]
+        assert _collect(_walk(starts, steps, order, end=1), order, 1) == total, (order, steps)
+        # a reached end and a partition of any size up to the largest reachable
+        size = rng.randrange(max(map(sum, starts)) + order + 1)
+        targets = [rng.choice(partitions_of(size))] + ([rng.choice(sorted(ends))] if ends else [])
+        for target in targets:
+            got = _at(_walk(starts, steps, order, target=target), target, order)
+            assert got == ends.get(target, [0] * (order + 1)), (order, steps, starts, target)
+        closed = steps + [(rng.random() < 0.5,) + rng.choice(weights + ((0, 0),) * 2)]
+        assert _trace(closed, order) == reference_trace(closed, order), (order, closed)
+
+
+def test_lookahead_keeps_only_states_that_can_end(monkeypatch):
+    # count_dspp("++", 30): lam^0 at z^|lam^0| steps up to lam at z^|lam|,
+    # and the second step charges |lam| again at the least, so the first
+    # step keeps exactly the lam with |lam^0| + 2|lam| <= 30 for some
+    # lam^0 ≺ lam, that is 3|lam| - lam_1 <= 30.  A window charging only
+    # the move itself keeps every lam with 2|lam| - lam_1 <= 30: 2,035.
+    kept = []
+    step = partitions._strip_step
+
+    def counted(*args):
+        out = step(*args)
+        kept.append(len(out))
+        return out
+
+    monkeypatch.setattr(partitions, "_strip_step", counted)
+    count_dspp((1, 1), 30)
+    bound = sum(1 for lam in partitions_up_to(30) if 3 * lam.size - (lam[0] if lam else 0) <= 30)
+    assert kept[0] == bound == 236
+    weak = sum(1 for lam in partitions_up_to(30) if 2 * lam.size - (lam[0] if lam else 0) <= 30)
+    assert weak == 2035

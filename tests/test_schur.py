@@ -209,6 +209,24 @@ def test_battery_cases_call_the_verifiers_bound_at_run_time(monkeypatch):
     assert len(ran) == len(cases) and set(ran) == set(targets)
 
 
+def test_battery_refuses_too_many_cases_before_listing_them(monkeypatch):
+    # length h lists 2^h profiles times 2^h exponent choices, four checks
+    # each; past MAX_BATTERY_CASES the battery refuses before it builds a
+    # single profile, however large max_len is
+    fixed = len(battery_cases(0))
+    for max_len in range(4):
+        assert len(battery_cases(max_len)) == fixed + sum(4 ** (h + 1) for h in range(1, max_len + 1))
+    monkeypatch.setattr(schur, "MAX_BATTERY_CASES", 16 + 64 + 256)
+    assert len(battery_cases(3)) == fixed + 336
+    monkeypatch.setattr(schur, "all_profiles", None)
+    for max_len in (4, 30, 10**18):
+        with pytest.raises(ValueError, match="max_len %d lists more than the 336 " % max_len):
+            battery_cases(max_len)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="100000 identity checks"):
+        battery_cases(8)
+
+
 def test_battery_depth_scales():
     shallow = run_battery(max_len=1, order=5)
     deeper = run_battery(max_len=2, order=5)
