@@ -279,6 +279,39 @@ def _unpack(v, width, order):
     return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
 
 
+def _packed_product(xs, ys, start, stop):
+    """Slots start .. stop - 1 of the product of the polynomials with nonnegative
+    coefficient lists xs and ys, by two-point Kronecker substitution (Harvey,
+    J. Symbolic Comput. 2009): two big-int products of half-length operands.
+
+    Slot s sums at most min(len(xs), len(ys)) products below 2^(bits of max x
+    + bits of max y), so it is below 2^W at the whole-byte width W taken here.
+    With b = W/2, a list whose even and odd entries pack at width W into E and
+    O is E + (O << b) at +2^b and E - (O << b) at -2^b.  The products there
+    give P+ + P- = 2 sum_i p_2i 2^(W i) and P+ - P- = 2^(b+1) sum_i p_2i+1
+    2^(W i): both shifts are exact, and both halves are nonnegative and unpack
+    by whole bytes, though P- may be negative.  When ys is xs, both products
+    square one int object, which CPython does by its faster squaring path.
+    """
+    if not xs or not ys:
+        return [0] * (stop - start)
+    w = (max(xs).bit_length() + max(ys).bit_length() + min(len(xs), len(ys)).bit_length() + 7) // 8
+    b = 4 * w
+    def at(vs):  # the packed values at +2^b and at -2^b
+        even, odd = _pack(vs[::2], 8 * w), _pack(vs[1::2], 8 * w) << b
+        return even + odd, even - odd
+    xp, xm = at(xs)
+    yp, ym = (xp, xm) if ys is xs else at(ys)
+    plus, minus = xp * yp, xm * ym
+    nbytes, out = (len(xs) + len(ys)) // 2 * w, [0] * (stop - start)
+    for k, half in (start % 2, (plus + minus) >> 1), (1 - start % 2, (plus - minus) >> (b + 1)):
+        # out[k::2] are slots (start + k) // 2, ... of this half, w bytes each
+        i, raw = (start + k) // 2 * w, half.to_bytes(nbytes, "little")
+        offsets = range(i, i + (stop - start + 1 - k) // 2 * w, w)
+        out[k::2] = [int.from_bytes(raw[j : j + w], "little") for j in offsets]
+    return out
+
+
 def _ahead(steps, end):
     """Per step of a chain, (p, u, d): what the steps after it must charge.
 

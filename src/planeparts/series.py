@@ -9,8 +9,8 @@ factors 1/(1 - z^e) with e >= 1.  Each one is compiled to a single
 representation, a truncated {exponent: multiplicity} map that keeps only
 e <= N, and expanded by a single kernel, _expand: the Euler
 (log-derivative) recurrence, solved as an online convolution by divide
-and conquer, with each block's contribution computed as one big-int
-product of two Kronecker-packed ints.
+and conquer, with each block's contribution read off two half-length
+big-int products of Kronecker-packed values at +2^b and -2^b.
 
 The map of the Schur-process kernel phi comes from the same packing:
 tallying its exponents as A = sum_e n_e z^e, the sums a_i + a_j over
@@ -25,9 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import add, mul
 
-from .partitions import _pack, _unpack
+from .partitions import _packed_product
 from .profiles import (
     Profile,
     _positions,
@@ -48,12 +48,12 @@ class TruncatedSeries:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(int, self.coeffs))
         if self.order < 0:
             raise ValueError("order must be nonnegative")
         if len(coeffs) != self.order + 1:
             raise ValueError("need exactly %d coefficients, got %d" % (self.order + 1, len(coeffs)))
-        if any(c < 0 for c in coeffs):
+        if min(coeffs) < 0:
             raise ValueError("coefficients must be nonnegative")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -75,14 +75,12 @@ def _solve(a, acc, c, lo, hi):
     On entry acc[n] holds sum_{j < lo} c_{n-j} a_j for every n in [lo, hi).
     A leaf adds the terms with j >= lo one by one and divides by n.  A
     longer range solves its left half, adds the left half's terms to every
-    n of the right half as one big-int product of two Kronecker-packed
-    ints, then solves its right half.
-
-    Slot s of that product is sum_{i+k=s} a_{lo+i} c_k: at most mid - lo
-    terms, each below 2^(bits of the largest a_j + bits of the largest
-    c_k).  The slot width adds the bit length of mid - lo, so every slot
-    sum fits its slot, and since every a_j and c_k is >= 0 no slot
-    borrows from its neighbour: the bytes read back are the exact sums.
+    n of the right half as slots mid - lo .. hi - lo - 1 of the product of
+    a[lo:mid] and c[:hi - lo] (_packed_product), then solves its right half.
+    Each slot sums at most mid - lo nonnegative products, below 2^W at the
+    packed width W, so of the products P+- at +-2^(W/2), the even slots
+    (P+ + P-)/2 and odd slots (P+ - P-)/2^(W/2+1) are exact shifts that
+    unpack by whole bytes with no borrow.
 
     A module-level function, not a closure that calls itself: the lists
     come in as arguments, so no call leaves a reference cycle that keeps
@@ -96,14 +94,7 @@ def _solve(a, acc, c, lo, hi):
         return
     mid = (lo + hi) // 2
     _solve(a, acc, c, lo, mid)
-    block = a[lo:mid]
-    kernel = c[: hi - lo]
-    bits = max(block).bit_length() + max(kernel).bit_length() + (mid - lo).bit_length() + 1
-    w = (bits + 7) // 8
-    buf = (_pack(block, 8 * w) * _pack(kernel, 8 * w)).to_bytes((mid - lo + hi - lo) * w, "little")
-    for n in range(mid, hi):
-        i = (n - lo) * w
-        acc[n] += int.from_bytes(buf[i : i + w], "little")
+    acc[mid:hi] = map(add, acc[mid:hi], _packed_product(a[lo:mid], c[: hi - lo], mid - lo, hi - lo))
     _solve(a, acc, c, mid, hi)
 
 
@@ -147,17 +138,8 @@ def _tally(exponents, order):
 
 
 def _square(xs):
-    """The coefficients of (sum_i x_i z^i)^2, nonnegative ints, by one packed square.
-
-    Slot s sums at most len(xs) products x_i x_j, each below 2^(2 * bits
-    of max x); adding the bit length of that count and one bit, every
-    slot sum fits its slot and none carries into the next, as in _solve.
-    """
-    if not xs:
-        return []
-    width = -(-(2 * max(xs).bit_length() + len(xs).bit_length() + 1) // 8) * 8
-    x = _pack(xs, width)
-    return _unpack(x * x, width, 2 * len(xs) - 2)
+    """The coefficients of (sum_i x_i z^i)^2, nonnegative ints, by one packed square."""
+    return _packed_product(xs, xs, 0, 2 * len(xs) - 1)
 
 
 def _counter(lo, counts):

@@ -332,6 +332,60 @@ def test_expand_runs_leaves_and_blocks(monkeypatch):
     assert _expand({1: m}, 250) == [comb(m + n - 1, n) for n in range(251)]
 
 
+def convolution(xs, ys):
+    """Schoolbook product of two coefficient lists."""
+    out = [0] * max(len(xs) + len(ys) - 1, 0)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    return out
+
+
+def test_packed_product_equals_convolution():
+    def product(xs, ys, start=0, stop=None):
+        stop = len(xs) + len(ys) - 1 if stop is None else stop
+        return series._packed_product(xs, ys, start, stop)
+
+    rng = random.Random(17)
+    for lx in range(10):
+        for ly in range(10):
+            xs = [rng.choice((0, rng.getrandbits(rng.randrange(1, 70)))) for _ in range(lx)]
+            ys = [rng.choice((0, rng.getrandbits(rng.randrange(1, 70)))) for _ in range(ly)]
+            full = convolution(xs, ys)
+            assert product(xs, ys) == full, (xs, ys)
+            assert product([0] * lx, ys) == [0] * len(full)
+            # requested ranges past slot 0, odd and even starts, as _solve asks
+            for start in range(1, len(full) + 1, 3):
+                assert product(xs, ys, start, len(full)) == full[start:]
+                assert product(xs, ys, start, (start + len(full)) // 2) == full[start : (start + len(full)) // 2]
+            if lx <= ly:  # an empty operand gives zero slots
+                assert product(xs, ys, lx, ly) == (full + [0] * ly)[lx:ly]
+            # a square of one list squares one int; an equal copy takes the general path
+            assert product(xs, xs) == product(xs, list(xs)) == convolution(xs, xs)
+            # every entry at its maximum: the middle slot sums reach the width bound,
+            # which falls just past a byte boundary for these bit counts
+            for bx in (1, 3, 8, 13):
+                by = (1 - bx - min(lx, ly).bit_length()) % 8 + 8
+                xs, ys = [2**bx - 1] * lx, [2**by - 1] * ly
+                assert product(xs, ys) == convolution(xs, ys), (lx, ly, bx, by)
+                assert product(xs, xs) == convolution(xs, xs)
+
+
+def test_deep_block_levels_match_plain_recurrence(monkeypatch):
+    # at order 1200 the blocks nest five levels deep; with _LEAF past the
+    # order, the plain recurrence alone computes every coefficient
+    order = 1200
+    maps = [
+        _spec_exponents(dspp_product_spec(parse_profile("+-+")), order),
+        _spec_exponents(cp_product_spec(parse_profile("+-+-")), order),
+        _spec_exponents(scp_product_spec(parse_profile("++-")), order),
+        _classical_exponents("pp", order),
+    ]
+    blocked = [_expand(exps, order) for exps in maps]
+    monkeypatch.setattr(series, "_LEAF", order + 1)
+    assert [_expand(exps, order) for exps in maps] == blocked
+
+
 def test_expand_leaves_no_reference_cycle():
     # a self-calling closure would be a cycle that keeps the coefficient
     # lists alive until the cyclic collector runs; the kernel frees them
