@@ -8,7 +8,8 @@ Coefficients are printed as decimal strings in json and csv output so
 that values beyond 2^53 survive the trip; asym prints psi values and
 estimates past the float range as mantissa-and-exponent strings.  Exit
 codes: 0 on success, 1 when a verification case fails, 2 on usage errors,
-3 on an internal error (any other exception, reported on stderr).
+3 on an internal error (any other exception, reported on stderr; running
+out of memory is reported as one constant line).
 """
 
 from __future__ import annotations
@@ -276,6 +277,13 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # the traceback (and that of any exception it was raised while
+        # handling) holds the frames, and through them the data that
+        # filled memory: drop both before anything else is allocated
+        exc.__traceback__ = exc.__context__ = None
+        print("internal error: out of memory", file=sys.stderr)
+        return 3
     except Exception as exc:  # exit 1 is reserved for a failed verification
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3

@@ -17,7 +17,7 @@ proposed while its own weight, plus the least that the profile's later
 steps must charge for it, still fits, on up and on down steps alike:
 every cell of lam costs each later m until a down step removes it
 (partitions._ahead).  No chain starts from a lam^0 its first step
-cannot move.
+cannot move within the order, that least charge included.
 partitions keeps each vector as one int with W-bit slots, W proven from
 the chain's length and the order (partitions._width); this module sees
 only lists.  The bytes of the vectors and of the starts a walk keeps are
@@ -43,8 +43,10 @@ FILLING_ORDER_BOUND = 8
 # covers the start's Partition and its dict entries.  The vector term
 # is the only proven bound, and walks whose first step weighs the new
 # state hold far less: at the largest orders accepted, dspp "++" at 46
-# (estimate 234 MB) peaks at 24 MB, "+" at 47 (214 MB) at 40 MB, cp
-# "+-" at 46 (234 MB) at 28 MB and cp "+" at 44 (235 MB) at 106 MB.
+# (estimate 232 MB) peaks at 27 MB of RSS, "+" at 47 (214 MB) at 40 MB,
+# cp "+-" at 46 (234 MB) at 74 MB, as partitions._trace holds the
+# states of a whole size class of betas at once, and cp "+" at 44
+# (235 MB) at 106 MB.
 # The start term is measured: a walk with no step keeps every start,
 # and gives none of them a transfer id (partitions._walk), so the empty
 # profile at order 45 (estimate 236 MB, 165 MB of it starts) peaks at

@@ -29,12 +29,15 @@ states that can still end within the order are made.  _walk numbers its
 starts and takes a chain's steps in turn, told how it will be read: at
 one target partition, or summed with an end weight.  _trace sums a
 chain over its closed walks, lam^0 = lam^h, each walk targeted at its
-own start.  _live_starts reads off the move's own window the starts a
-chain's first step can move at all: _trace's betas, and the counting
-oracles' open starts; _live_count counts them for the counting oracles'
-memory guard.  The counting oracles and both sides of every skew Schur
-identity only say which steps their chains take, with partitions going
-in and lists coming out; ids never leave this module.
+own start; the starts of one size share that target size, so they walk
+together, one transfer per size class, each state keyed by its id in
+the low _ID_BITS bits and its start's index in the class above them.
+_live_starts reads off the first step's window, with the lookahead's
+charge, the starts that step can move at all: _trace's betas, and the
+counting oracles' open starts; _live_count counts them for the counting
+oracles' memory guard.  The counting oracles and both sides of every
+skew Schur identity only say which steps their chains take, with
+partitions going in and lists coming out; ids never leave this module.
 
 Inside the transfer a coefficient vector c_0..c_order is one int with
 W-bit slots, sum_d c_d << d*W, so a move is one shift and one mask,
@@ -195,13 +198,21 @@ _firsts = []
 # per direction, down then up, per id: the partner table, () until a
 # step asks for it
 _tables = ([], [])
+# a transfer key holds an id in its low _ID_BITS bits; _trace keeps the
+# index of a walk's beta in the bits above
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
+_ID_LIMIT = 1 << _ID_BITS
 
 
 def _number(lams):
     """The ids of lams, a sequence of distinct partitions, numbering each
-    one the registry has not met yet."""
+    one the registry has not met yet.  Raises OverflowError rather than
+    pass _ID_LIMIT ids, so that no id spills into a key's high bits."""
     fresh = [lam for lam in lams if lam not in _ids]
     n = len(_parts)
+    if n + len(fresh) > _ID_LIMIT:
+        raise OverflowError("the transfer numbers at most %d partitions" % _ID_LIMIT)
     _ids.update(zip(fresh, range(n, n + len(fresh))))
     _parts.extend(fresh)
     _sizes.extend(map(sum, fresh))
@@ -344,8 +355,12 @@ def _ahead(steps, end):
 def _strip_step(dist, up, order, a, m, width, cap=None, ahead=(0, None, None), goal=None):
     """One single-letter horizontal-strip step of a transfer over partitions.
 
-    dist maps the id of each state mu to its packed vector, truncated
-    at order, and so does the map returned.  Every mu moves to each lam
+    dist maps the key of each state mu to its packed vector, truncated
+    at order, and so does the map returned.  A key holds mu's id in its
+    low _ID_BITS bits and a tag in the bits above, which every move
+    keeps: lam's key is lam's id plus mu's tag.  An open walk's tags are
+    all 0, so its keys are bare ids; _trace tags each state with the
+    index of its beta within a size class.  Every mu moves to each lam
     with mu ≺ lam (up) or lam ≺ mu (down), and the move multiplies by
     z^(a*|strip| + m*|lam|).  Up moves keep |lam| <= cap when a cap is
     given.  ahead is _ahead's bound on the rest of the chain for this
@@ -379,10 +394,12 @@ def _strip_step(dist, up, order, a, m, width, cap=None, ahead=(0, None, None), g
     stride = k * width
     ndist = {}
     get = ndist.get
-    sizes, firsts, tables = _sizes, _firsts, _tables[up]
-    for mu, v in dist.items():
+    sizes, firsts, tables, mask = _sizes, _firsts, _tables[up], _ID_MASK
+    for key, v in dist.items():
         if not v:
             continue
+        mu = key & mask
+        tag = key - mu
         budget = order - ((v & -v).bit_length() - 1) // width
         size = sizes[mu]
         if up:
@@ -417,45 +434,57 @@ def _strip_step(dist, up, order, a, m, width, cap=None, ahead=(0, None, None), g
         for group in table[lo - least : hi - least + 1]:
             w = (v << shift) & full
             for lam in group:
+                lam += tag
                 ndist[lam] = get(lam, 0) + w
             shift += stride
     return ndist
+
+
+def _first_move(steps):
+    """(up, a, c) of a chain's first step (up, a, m): c = m + p is the least
+    each cell of the new state pays, its own weight and p, _ahead's charge
+    for the rest of the chain with no end weight.  With no steps, a step
+    of no weight."""
+    if not steps:
+        return True, 0, 0
+    (up, a, m), (p, _, _) = steps[0], _ahead(steps, 0)[0]
+    return up, a, m + p
 
 
 def _live_starts(steps, order):
     """The starts lam, at z^|lam|, that a chain's first step (up, a, m) can
     move, as a map lam -> |lam|; with no steps, every start.
 
-    Read off the move's own weight, as _strip_step's window is with
-    nothing ahead, at budget order - |lam|.  A strip weight (m == 0)
-    lets every lam move to itself, so every partition of
-    size <= order is kept: partitions_of's own objects, in
-    partitions_up_to's order.  Up with m >= 1, |lam'| >= |lam| makes the
-    least move cost (m+1)|lam|, so |lam| <= order // (m+1).  Down with
-    m >= 1, the least move drops lam's first row: lam = (k,) + nu with
-    k >= nu_1 and k + (m+1)|nu| <= order.
+    Read off _strip_step's window for that step with _ahead's first
+    bound and no goal, at budget order - |lam|: a move to lam' weighs
+    a*|strip| + c*|lam'| at the least, c as in _first_move.  Up,
+    |lam'| >= |lam|, and so does down when a >= c, where the cheapest
+    move keeps lam: |lam| <= order // (c+1), partitions_of's own
+    objects in partitions_up_to's order.  Down with a < c, the cheapest
+    move drops lam's first row: lam = (k,) + nu with k >= nu_1 and
+    (a+1)k + (c+1)|nu| <= order.
     """
-    up, _, m = steps[0] if steps else (True, 0, 0)
-    top = order // (m + 1)
-    if up or not m:
+    up, a, c = _first_move(steps)
+    top = order // (c + 1)
+    if up or a >= c:
         return {lam: s for s in range(top + 1) for lam in partitions_of(s)}
     starts = {(): 0}
     for s in range(top + 1):
         for nu in partitions_of(s):
-            for k in range(nu[0] if nu else 1, order - (m + 1) * s + 1):
+            for k in range(nu[0] if nu else 1, (order - (c + 1) * s) // (a + 1) + 1):
                 starts[(k,) + nu] = k + s
     return starts
 
 
 def _live_count(steps, order):
     """len(_live_starts(steps, order)), without building the starts."""
-    up, _, m = steps[0] if steps else (True, 0, 0)
-    top = order // (m + 1)
-    if up or not m:
+    up, a, c = _first_move(steps)
+    top = order // (c + 1)
+    if up or a >= c:
         return _partition_count(top)
     # the empty partition, then each nu with its choices of k
     return 1 + sum(
-        max(0, order - (m + 1) * s - (nu[0] if nu else 1) + 1)
+        max(0, (order - (c + 1) * s) // (a + 1) - (nu[0] if nu else 1) + 1)
         for s in range(top + 1)
         for nu in partitions_of(s)
     )
@@ -516,25 +545,39 @@ def _trace(steps, order):
     closing step counted among the steps ahead (_ahead, with no end
     weight: beta was weighed at the start).  Every state has size
     <= order, and one width serves every beta, so the closing vectors
-    are summed packed.  Each beta is numbered to take the body's steps,
-    and each end state is tested as the registry's tuple; with no body
-    step, beta closes with itself alone and is not numbered.
+    are summed packed.
+
+    The betas of one size share that bound, so they walk together, one
+    _strip_step per body step for the whole size class: a state's key
+    holds its id in the low _ID_BITS bits and the index of its beta in
+    the class above them, and the closing test reads both back.  With
+    no body step, each beta closes with itself alone, so a class adds
+    its count at z^((m+1)|beta|), and no beta is numbered.
 
     The betas are the chain's _live_starts: no other beta survives the
     first step, the closing one when there is no other (a lone closing
-    step down with m >= 1 weighs beta, so it keeps a few extra betas).
+    step down with m > a weighs beta, so it keeps a few extra betas).
     """
     *body, (up, a, m) = steps or [(True, 0, 0)]
     width = _width(1, order, len(body) + 1)
     full = (1 << (order + 1) * width) - 1
     total = 0
     aheads = _ahead(steps, 0)
-    betas = _live_starts(steps, order)
-    for key, (beta, size) in zip(_number(betas) if body else betas, betas.items()):
-        dist = {key: 1 << size * width}
+    parts, bits, mask, test = _parts, _ID_BITS, _ID_MASK, is_horizontal_strip
+    classes = {}
+    for beta, size in _live_starts(steps, order).items():
+        classes.setdefault(size, []).append(beta)
+    for size, betas in classes.items():
+        if not body:
+            # each beta closes with itself, at z^((m+1)|beta|)
+            total += (len(betas) << (m + 1) * size * width) & full
+            continue
+        start = 1 << size * width
+        dist = {j << bits | i: start for j, i in enumerate(_number(betas))}
         for (b_up, b_a, b_m), ahead in zip(body, aheads):
             dist = _strip_step(dist, b_up, order, b_a, b_m, width, None, ahead, size)
-        for mu, v in zip(map(_parts.__getitem__, dist), dist.values()) if body else dist.items():
-            if is_horizontal_strip(beta, mu) if up else is_horizontal_strip(mu, beta):
+        for key, v in dist.items():
+            beta, mu = betas[key >> bits], parts[key & mask]
+            if test(beta, mu) if up else test(mu, beta):
                 total += (v << (a * abs(size - sum(mu)) + m * size) * width) & full
     return _unpack(total, width, order)

@@ -15,7 +15,8 @@ big-int products of Kronecker-packed values at +2^b and -2^b.
 The map of the Schur-process kernel phi comes from the same packing:
 tallying its exponents as A = sum_e n_e z^e, the sums a_i + a_j over
 index pairs i < j are the coefficients of (A^2 - A(z^2)) / 2, so the
-map is one packed square (_square) instead of a loop over pairs.  A map
+map is one packed square (partitions._packed_product, asked for the
+slots through the order only) instead of a loop over pairs.  A map
 shifted by k*step for every k, as the products over k of phi(z^k X)
 and psi(z^k X, Y) need, is built once and spread (_spread).
 """
@@ -137,11 +138,6 @@ def _tally(exponents, order):
     return lo, n
 
 
-def _square(xs):
-    """The coefficients of (sum_i x_i z^i)^2, nonnegative ints, by one packed square."""
-    return _packed_product(xs, xs, 0, 2 * len(xs) - 1)
-
-
 def _counter(lo, counts):
     """The {lo + i: counts[i]} map of the nonzero counts."""
     return Counter({lo + i: c for i, c in enumerate(counts) if c})
@@ -153,11 +149,12 @@ def _phi_parts(exponents, order):
 
     With A = sum_e n_e z^e over the tallied exponents, the pair sums are
     (A^2 - A(z^2)) / 2: two equal values e pair in C(n_e, 2) = (n_e^2 - n_e)/2
-    ways.  Only values <= order - lo can pair within the order.
+    ways.  Only values <= order - lo can pair within the order, and only
+    the slots of A^2 through z^order are asked of the packed square.
     """
     lo, n = _tally(exponents, order)
     low = n[: max(order - 2 * lo + 1, 0)]
-    square = _square(low)[: order - 2 * lo + 1]
+    square = _packed_product(low, low, 0, min(order - 2 * lo + 1, 2 * len(low) - 1))
     for i, c in enumerate(n[: (len(square) + 1) // 2]):
         square[2 * i] -= c
     return _counter(lo, n), _counter(2 * lo, [c // 2 for c in square])

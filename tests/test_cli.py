@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 from planeparts import cli
@@ -264,3 +265,34 @@ def test_unexpected_exception_is_internal_error(monkeypatch):
         code, out = run_cli(["gf", "--family", "pp", "--order", "3"])
     assert code == 3 and out == ""
     assert err.getvalue() == "internal error: RuntimeError: kernel exploded\n"
+
+
+def test_memory_error_is_internal_error_without_traceback(monkeypatch):
+    # running out of memory ends in exit 3 and one constant line, and the
+    # data the failed call still held is freed before that line is written
+    class Hog:
+        pass
+
+    held = []
+
+    def broken(delta, order):
+        hog = Hog()
+        held.append(weakref.ref(hog))
+        try:
+            raise KeyError("while handling another error")
+        except KeyError:
+            raise MemoryError
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            alive.append(held[0]() is not None)
+            return super().write(text)
+
+    alive = []
+    monkeypatch.setitem(cli.FAMILIES, "dspp", cli.Family(broken))
+    err = Recorder()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["gf", "--family", "dspp", "--profile=+-", "--order", "3"])
+    assert code == 3 and out == ""
+    assert err.getvalue() == "internal error: out of memory\n"
+    assert alive and not any(alive)

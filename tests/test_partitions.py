@@ -8,6 +8,7 @@ from planeparts.counting import _steps, count_dspp
 from planeparts.partitions import (
     EMPTY,
     Partition,
+    _ahead,
     _at,
     _collect,
     _grow,
@@ -553,3 +554,126 @@ def test_lookahead_keeps_only_states_that_can_end(monkeypatch):
     assert kept[0] == bound == 236
     weak = sum(1 for lam in partitions_up_to(30) if 2 * lam.size - (lam[0] if lam else 0) <= 30)
     assert weak == 2035
+
+
+def test_live_starts_are_the_first_moves_with_the_lookahead():
+    # a start lam at z^|lam| is live iff the chain's first _strip_step,
+    # given _ahead's first bound as _walk passes it (no goal), keeps a
+    # state; chains of 2-4 steps, so the rest of the chain charges the
+    # new state's cells too
+    rng = random.Random(18)
+    weights = ((0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (0, 0))
+    width = 8
+    seen = set()
+    for _ in range(60):
+        order = rng.randrange(15)
+        steps = [(rng.random() < 0.5,) + rng.choice(weights) for _ in range(rng.randint(2, 4))]
+        (up, a, m), ahead = steps[0], _ahead(steps, 0)[0]
+        moved = [lam for lam in partitions_up_to(order)
+                 if _strip_step({_number([lam])[0]: 1 << lam.size * width}, up, order,
+                                a, m, width, None, ahead)]
+        live = _live_starts(steps, order)
+        assert set(live) == set(moved), (order, steps)
+        assert all(s == sum(lam) for lam, s in live.items())
+        assert _live_count(steps, order) == len(live), (order, steps)
+        # the three ways a first step's window is read: up, down keeping
+        # lam, and down dropping lam's first row (m + p > a), strip
+        # weight included
+        seen.add("up" if up else "keep" if a >= m + ahead[0] else "drop, a > 0" if a else "drop")
+    assert seen == {"up", "keep", "drop", "drop, a > 0"}
+
+
+def test_live_starts_charge_the_lookahead():
+    # count_dspp("++", 45): a start lam^0 is live iff its cheapest chain,
+    # lam^0 itself twice, fits: 3|lam^0| <= 45.  Charging only the first
+    # step's own weight kept every |lam^0| <= 22, 4,508 starts
+    steps = _steps((1, 1), 1)
+    assert len(_live_starts(steps, 45)) == _live_count(steps, 45) == 684
+    assert sum(1 for lam in partitions_up_to(15)) == 684
+    assert sum(1 for lam in partitions_up_to(22)) == 4508
+
+
+def test_strip_step_keeps_each_key_tag():
+    # a key's bits above _ID_BITS ride along every move: one step of a
+    # map of tagged states is the union of the steps of each tag's
+    # states alone, tagged again
+    order, width = 6, 16
+    ids = _number(partitions_up_to(3))
+    for up in (True, False):
+        for a, m in ((0, 1), (1, 0)):
+            tagged, alone = {}, []
+            for tag in (0, 1, 5):
+                dist = {i: 1 << (i + tag) % 3 * width for i in ids[tag % 3 :: 2]}
+                alone.append((tag, _strip_step(dist, up, order, a, m, width)))
+                tagged.update({tag << partitions._ID_BITS | i: v for i, v in dist.items()})
+            got = _strip_step(tagged, up, order, a, m, width)
+            expect = {tag << partitions._ID_BITS | i: v for tag, out in alone for i, v in out.items()}
+            assert got == expect, (up, a, m)
+
+
+def test_number_refuses_to_pass_the_id_limit(monkeypatch):
+    # ids must stay below 2^_ID_BITS, where _trace's tags begin; the
+    # limit is shrunk here rather than reached
+    empty_registry(monkeypatch)
+    assert partitions._ID_LIMIT == 1 << partitions._ID_BITS == 1 << 32
+    monkeypatch.setattr(partitions, "_ID_LIMIT", 3)
+    assert _number([(1,), (2,), (3,)]) == [0, 1, 2]
+    with pytest.raises(OverflowError):
+        _number([(1,), (4,)])
+    assert (4,) not in partitions._ids and len(partitions._parts) == 3
+    assert all(len(tables) == 3 for tables in partitions._tables)
+    # partitions met before still have their ids
+    assert _number([(3,), (1,)]) == [2, 0]
+
+
+def traced_steps(monkeypatch):
+    """Record (goal, distinct tags going in, states going in, states out) of
+    every _strip_step call."""
+    calls = []
+    step = partitions._strip_step
+
+    def recorded(dist, *args):
+        out = step(dist, *args)
+        calls.append((args[-1], len({k >> partitions._ID_BITS for k in dist}), len(dist), len(out)))
+        return out
+
+    monkeypatch.setattr(partitions, "_strip_step", recorded)
+    return calls
+
+
+def test_batched_traces_equal_the_references(monkeypatch):
+    # random closed chains at orders 5-8, where every size from 2 up has
+    # several betas, walked a size class at a time; each closing step,
+    # both directions, with no weight, a state weight or a strip weight,
+    # closes as many chains
+    calls = traced_steps(monkeypatch)
+    rng = random.Random(181)
+    weights = ((0, 1), (0, 2), (1, 0), (2, 0), (1, 1))
+    closings = [(up, a, m) for up in (True, False) for a, m in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1))]
+    for i in range(40):
+        order = 5 + i % 4
+        body = [(rng.random() < 0.5,) + rng.choice(weights) for _ in range(rng.randint(1, 3))]
+        closed = body + [closings[i % len(closings)]]
+        before = len(calls)
+        assert _trace(closed, order) == reference_trace(closed, order), (order, closed)
+        # one _strip_step per body step per size class of betas
+        sizes = set(_live_starts(closed, order).values())
+        assert len(calls) - before == len(body) * len(sizes), (order, closed)
+    # and a call walks several betas at once
+    assert max(tags for _, tags, _, _ in calls) > 3
+
+
+def test_a_size_class_can_die_while_another_closes(monkeypatch):
+    # the betas (5) and (4), (3, 1) are live for the first step down at
+    # order 5, whose own window charges a start (k,) + nu at least
+    # k + 2|nu|, but their walks cannot climb back to size 5 or 4 through
+    # the closing up strip, which costs 2 a cell: both classes end at
+    # their first step, while the small betas close
+    calls = traced_steps(monkeypatch)
+    chain = [(False, 0, 1), (True, 2, 0)]
+    assert {(5,), (4,), (3, 1)} <= set(_live_starts(chain, 5))
+    got = _trace(chain, 5)
+    assert got == reference_trace(chain, 5) and any(got)
+    dead = {goal for goal, _, ins, outs in calls if ins and not outs}
+    closed = {goal for goal, _, ins, outs in calls if outs}
+    assert {4, 5} <= dead and closed
