@@ -15,14 +15,18 @@ and residues are globally coprime.  dspp_params and scp_params compute
 the same parameters through closed-form constants specific to those two
 families, so the two paths cross-check each other.
 
-All floating-point products are accumulated in the log domain; r and b
-also exist as exact rationals (b itself, and the coefficient of pi^2 in
-r), exposed through the *_fraction helpers.
+All floating-point products are accumulated in the log domain, and v is
+carried as log v (AsymptoticParams.log_v): it falls below the float
+range from width 84 on, where log_psi still reads it exactly and
+psi_eval falls back to exp(log_psi).  r and b also exist as exact
+rationals (b itself, and the coefficient of pi^2 in r), exposed through
+the *_fraction helpers.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,9 +36,11 @@ from .series import dspp_product_spec, scp_product_spec
 
 @dataclass(frozen=True)
 class AsymptoticParams:
-    """Parameters (v, r, b, p) of the growth shape psi_n(v, r, b; p)."""
+    """Parameters (v, r, b, p) of the growth shape psi_n(v, r, b; p), with v
+    held as its natural logarithm log_v: v falls below the float range
+    from width 84 on."""
 
-    v: float
+    log_v: float
     r: float
     b: float
     p: float
@@ -45,6 +51,11 @@ class AsymptoticParams:
         if not 0 < self.p < 1:
             raise ValueError("p must lie in (0, 1)")
 
+    @property
+    def v(self):
+        """exp(log_v); 0.0 or subnormal where v is below the float range."""
+        return math.exp(self.log_v)
+
 
 def log_psi(params, n):
     """The natural logarithm of psi_n(v, r, b; p), summed term by term.
@@ -53,9 +64,9 @@ def log_psi(params, n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    v, r, b, p = params.v, params.r, params.b, params.p
+    r, b, p = params.r, params.b, params.p
     return (
-        math.log(v)
+        params.log_v
         + 0.5 * math.log(p * (1 - p) / (2 * math.pi))
         + (b + (1 - p) / 2) * math.log(r)
         - (b + 1 - p / 2) * math.log(n)
@@ -66,9 +77,9 @@ def log_psi(params, n):
 def psi_eval(params, n):
     """Evaluate psi_n(v, r, b; p) at a positive integer n.
 
-    The direct product, so its values keep their last bits; when one of
-    its factors leaves the float range, exp(log_psi) instead.  Past the
-    float range that raises OverflowError.
+    The direct product, so its values keep their last bits; when v or the
+    product is not a normal float, exp(log_psi) instead.  Past the float
+    range that raises OverflowError; below it, it is 0.0 or subnormal.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -80,7 +91,14 @@ def psi_eval(params, n):
         )
     except OverflowError:
         value = math.inf
-    return math.exp(log_psi(params, n)) if math.isinf(value) else value
+    if is_normal(params.v) and is_normal(value):
+        return value
+    return math.exp(log_psi(params, n))
+
+
+def is_normal(x):
+    """True iff x is a positive normal float: neither 0.0, subnormal nor infinite."""
+    return sys.float_info.min <= x < math.inf
 
 
 def psi_table_value(params, n):
@@ -107,11 +125,11 @@ def n_exponent(params):
 def combine_params(a, b):
     """Parameters of a product of two series with growth shapes a and b.
 
-    Requires equal p; then v multiplies while r and b add.
+    Requires equal p; then v multiplies (log v adds) while r and b add.
     """
     if a.p != b.p:
         raise ValueError("cannot combine growth shapes with different p")
-    return AsymptoticParams(a.v * b.v, a.r + b.r, a.b + b.b, a.p)
+    return AsymptoticParams(a.log_v + b.log_v, a.r + b.r, a.b + b.b, a.p)
 
 
 def ribbon_params(spec):
@@ -134,7 +152,7 @@ def ribbon_params(spec):
         )
         r += mult * 2 * math.pi**2 / (3 * x)
     b = ribbon_b_fraction(spec)
-    return AsymptoticParams(math.exp(log_v), r, float(b), 0.5)
+    return AsymptoticParams(log_v, r, float(b), 0.5)
 
 
 def ribbon_b_fraction(spec):
@@ -163,30 +181,33 @@ def dspp_growth_rate_fraction(delta):
     return Fraction(m * m + m + 2, 6 * m)
 
 
-def dspp_prefactor(delta):
-    """The constant C in count(n) ~ C/n * exp(pi sqrt((m^2+m+2) n/(6m)))."""
+def _log_dspp_prefactor(delta):
     delta = _require_width(delta)
     m = len(delta) + 1
     log_c1 = (-epsilon(delta) / m - delta.count_plus()) * math.log(2)
-    for t in multiset_w1(delta).elements():
-        log_c1 += math.lgamma(t / m)
-    for t in multiset_w2(delta).elements():
-        log_c1 += math.lgamma(t / (2 * m))
+    for t, k in multiset_w1(delta).residues:
+        log_c1 += k * math.lgamma(t / m)
+    for t, k in multiset_w2(delta).residues:
+        log_c1 += k * math.lgamma(t / (2 * m))
     log_c2 = (
         -((m * m - 3 * m + 14) * math.log(2) + (m * m - m) * math.log(math.pi)) / 4
         + 0.5 * math.log((m * m + m + 2) / 3)
     )
-    return math.exp(log_c1 + log_c2)
+    return log_c1 + log_c2
+
+
+def dspp_prefactor(delta):
+    """The constant C in count(n) ~ C/n * exp(pi sqrt((m^2+m+2) n/(6m)))."""
+    return math.exp(_log_dspp_prefactor(delta))
 
 
 def dspp_params(delta):
     """Growth parameters of the skew doubled shifted counts, from the
     closed-form constants (b = 1/4 for every profile)."""
-    delta = _require_width(delta)
-    m = len(delta) + 1
+    m = len(_require_width(delta)) + 1
     r = (m * m + m + 2) * math.pi**2 / (6 * m)
-    v = dspp_prefactor(delta) * 2 * math.sqrt(2 * math.pi) / r**0.5
-    return AsymptoticParams(v, r, 0.25, 0.5)
+    log_v = _log_dspp_prefactor(delta) + math.log(2 * math.sqrt(2 * math.pi)) - 0.5 * math.log(r)
+    return AsymptoticParams(log_v, r, 0.25, 0.5)
 
 
 def dspp_width_constant(m):
@@ -208,15 +229,10 @@ def dspp_width_constant(m):
 
 def scp_b_fraction(delta):
     """Exact rational b of the symmetric cylindric growth shape."""
-    delta = _require_width(delta)
-    m = len(delta) + 1
-    q = 2 * m - 1
-    b = Fraction(0)
-    for t in multiset_w4(delta).elements():
-        b += Fraction(t, 2 * q) - Fraction(1, 4)
-    for t in multiset_w5(delta).elements():
-        b += Fraction(t, 4 * q) - Fraction(1, 4)
-    return b
+    q = 2 * len(_require_width(delta)) + 1
+    w4, w5 = multiset_w4(delta), multiset_w5(delta)
+    total = 2 * sum(t * k for t, k in w4.residues) + sum(t * k for t, k in w5.residues)
+    return Fraction(total, 4 * q) - Fraction(w4.total_count() + w5.total_count(), 4)
 
 
 def scp_n_exponent_fraction(delta):
@@ -232,18 +248,18 @@ def scp_params(delta):
     q = 2 * m - 1
     r = (m * m + m + 2) * math.pi**2 / (6 * q)
     b = scp_b_fraction(delta)
-    w4 = multiset_w4(delta).elements()
-    w5 = multiset_w5(delta).elements()
+    w4 = multiset_w4(delta)
+    w4_sum = sum(t * k for t, k in w4.residues)
     log_v = (
-        -(Fraction(sum(w4), q) + Fraction(m * m - 3 * m + 2, 4)) * math.log(2)
+        -(Fraction(w4_sum, q) + Fraction(m * m - 3 * m + 2, 4)) * math.log(2)
         - Fraction(m * m - m + 2, 4) * math.log(math.pi)
         + 2 * b * math.log(q)
     )
-    for t in w4:
-        log_v += math.lgamma(t / q)
-    for t in w5:
-        log_v += math.lgamma(t / (2 * q))
-    return AsymptoticParams(math.exp(log_v), r, float(b), 0.5)
+    for t, k in w4.residues:
+        log_v += k * math.lgamma(t / q)
+    for t, k in multiset_w5(delta).residues:
+        log_v += k * math.lgamma(t / (2 * q))
+    return AsymptoticParams(log_v, r, float(b), 0.5)
 
 
 def dspp_ribbon_params(delta):

@@ -105,23 +105,30 @@ def cmd_count(args, out):
     return 0
 
 
-def _psi_values(params, n):
-    """psi_n and its integer part; past the float range, both as one
-    decimal string 'm.mmmmmmmmmmmme+E' computed from log_psi."""
-    try:
-        return asymptotics.psi_eval(params, n), asymptotics.psi_table_value(params, n)
-    except OverflowError:
-        pass
-    try:
-        log10 = asymptotics.log_psi(params, n) / math.log(10)
-    except OverflowError:
-        raise ValueError("n = %d is too large: log psi_n is past the float range" % n) from None
+def _exp_text(log_x):
+    """exp(log_x) as the decimal string 'm.mmmmmmmmmmmme+E' or 'm.mmmmmmmmmmmme-E'."""
+    log10 = log_x / math.log(10)
     exponent = math.floor(log10)
     mantissa = round(10 ** (log10 - exponent), 12)
     if mantissa >= 10:
         mantissa, exponent = mantissa / 10, exponent + 1
-    text = "%.12fe+%d" % (mantissa, exponent)
-    return text, text
+    return "%.12fe%+d" % (mantissa, exponent)
+
+
+def _psi_values(params, n):
+    """psi_n and its integer part; past the normal float range psi_n is a
+    string from _exp_text, and so is its integer part above that range."""
+    try:
+        psi = asymptotics.psi_eval(params, n)
+        if asymptotics.is_normal(psi):
+            return psi, asymptotics.psi_table_value(params, n)
+    except OverflowError:
+        pass
+    try:
+        text = _exp_text(asymptotics.log_psi(params, n))
+    except OverflowError:
+        raise ValueError("n = %d is too large: log psi_n is past the float range" % n) from None
+    return text, text if "e+" in text else 0
 
 
 def cmd_asym(args, out):
@@ -134,11 +141,12 @@ def cmd_asym(args, out):
     else:
         delta = parse_profile(args.profile)
     params = FAMILIES[args.family].params(delta)
+    v = params.v if asymptotics.is_normal(params.v) else _exp_text(params.log_v)
     payload = {
         "command": "asym",
         "family": args.family,
         "profile": delta.text,
-        "params": {"v": params.v, "r": params.r, "b": params.b, "p": params.p},
+        "params": {"v": v, "r": params.r, "b": params.b, "p": params.p},
     }
     if args.n:
         values = {str(n): _psi_values(params, n) for n in args.n}

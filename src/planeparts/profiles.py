@@ -18,6 +18,11 @@ A profile is a finite ±1 sequence delta.  It encodes three things at once:
   compiles every such product to one truncated exponent map and expands
   it with one kernel.
 
+Every pair-indexed multiset (w2, w3, w5; phi's pair sums and the raw
+boundary pairs in series) is one packed product of value tallies: sums
+over two lists, pair_sums over index pairs i < j, folded to residues by
+ExponentMultiset.from_counts.  Memory is O(h), not h^2/2 pair values.
+
 Conventions.  Cells are (row, column), both >= 1, matrix orientation.
 Diagonal k (k = 0..h) is the set of region cells with
 column - row = k - |delta|_1; its first cell sits in row
@@ -31,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import Partition
+from .partitions import Partition, _packed_product
 
 
 class Profile(tuple):
@@ -111,9 +116,12 @@ class ExponentMultiset:
                 raise ValueError("multiplicities must be >= 1, got %r" % (m,))
 
     @classmethod
-    def from_elements(cls, base, elements):
-        counts = Counter(elements)
-        return cls(base, tuple(sorted(counts.items())))
+    def from_counts(cls, base, counts):
+        """Build from a {t: multiplicity} map, each t folded to its residue in 1..base."""
+        folded = Counter()
+        for t, m in counts.items():
+            folded[(t - 1) % base + 1] += m
+        return cls(base, tuple(sorted(folded.items())))
 
     def elements(self):
         """The residues with multiplicity, sorted."""
@@ -127,6 +135,42 @@ class ExponentMultiset:
 
     def to_json(self):
         return {"base": self.base, "residues": {str(t): m for t, m in self.residues}}
+
+
+def _tally(values, top):
+    """(lo, n): n[i] is how many of the values <= top equal lo + i, over their span."""
+    kept = [v for v in values if v <= top]
+    if not kept:
+        return 0, []
+    lo = min(kept)
+    n = [0] * (max(kept) - lo + 1)
+    for v in kept:
+        n[v - lo] += 1
+    return lo, n
+
+
+def sums(xs, ys, top):
+    """{s: count} of the sums x + y <= top over the pairs of an x in xs and
+    a y in ys: one packed product of the two tallies, a square when ys is xs."""
+    if not xs or not ys:
+        return Counter()
+    xlo, xn = _tally(xs, top - min(ys))
+    ylo, yn = (xlo, xn) if ys is xs else _tally(ys, top - min(xs))
+    slots = _packed_product(xn, yn, 0, min(top - xlo - ylo + 1, len(xn) + len(yn) - 1))
+    return Counter({xlo + ylo + i: c for i, c in enumerate(slots) if c})
+
+
+def pair_sums(values, top):
+    """{s: count} of the sums a_i + a_j <= top over index pairs i < j: with
+    A = sum_e n_e z^e over the values <= top - lo, the coefficients of
+    (A^2 - A(z^2)) / 2 through z^top, two equal values pairing in C(n_e, 2)
+    ways; the square is one packed product, the diagonal taken out in place."""
+    lo, n = _tally(values, top)
+    low = n[: max(top - 2 * lo + 1, 0)]
+    square = _packed_product(low, low, 0, min(top - 2 * lo + 1, 2 * len(low) - 1))
+    for i, c in enumerate(low[: (len(square) + 1) // 2]):
+        square[2 * i] -= c
+    return Counter({2 * lo + i: c // 2 for i, c in enumerate(square) if c})
 
 
 def _indexed(delta):
@@ -150,25 +194,17 @@ def _positions(delta, symmetric):
 def _single_multiset(delta, symmetric):
     """Residues width and, per entry, p at a -1 or width - p at a +1 (base width)."""
     width, items = _positions(delta, symmetric)
-    elems = [width] + [p if e == -1 else width - p for p, e in items]
-    return ExponentMultiset.from_elements(width, elems)
+    elems = Counter([width] + [p if e == -1 else width - p for p, e in items])
+    return ExponentMultiset.from_counts(width, elems)
 
 
 def _pair_multiset(delta, symmetric):
-    """Residues over position pairs p < q (base 2 * width)."""
+    """Residues t_p + t_q mod 2 * width over position pairs p < q (base 2 * width),
+    with t = p at a -1 and 2 * width - p at a +1: p + q, 2 * width - p - q,
+    2 * width + p - q (a -1 first) or q - p (a +1 first)."""
     width, items = _positions(delta, symmetric)
-    elems = []
-    for x, (p, ep) in enumerate(items):
-        for q, eq in items[x + 1 :]:
-            if ep == eq == -1:
-                elems.append(p + q)
-            elif ep == eq == 1:
-                elems.append(2 * width - p - q)
-            elif ep < eq:
-                elems.append(2 * width + p - q)
-            else:
-                elems.append(q - p)
-    return ExponentMultiset.from_elements(2 * width, elems)
+    t = [p if e == -1 else 2 * width - p for p, e in items]
+    return ExponentMultiset.from_counts(2 * width, pair_sums(t, 4 * width))
 
 
 def multiset_w1(delta):
@@ -182,22 +218,16 @@ def multiset_w2(delta):
 
 
 def multiset_w3(delta):
-    """Exponent multiset of the cylindric family (base h = profile length)."""
+    """Exponent multiset of the cylindric family (base h = profile length):
+    h, and j + (h - i) mod h over a -1 at j and a +1 at i, which is j - i
+    when the +1 comes first and h + j - i when the -1 does."""
     delta = Profile(delta)
     h = len(delta)
     if h < 1:
         raise ValueError("cylindric profiles need length >= 1")
-    elems = [h]
     items = _indexed(delta)
-    for x in range(h):
-        i, ei = items[x]
-        for y in range(x + 1, h):
-            j, ej = items[y]
-            if ei > ej:
-                elems.append(j - i)
-            elif ei < ej:
-                elems.append(h + i - j)
-    return ExponentMultiset.from_elements(h, elems)
+    elems = sums([j for j, e in items if e == -1], [h - i for i, e in items if e == 1], 2 * h)
+    return ExponentMultiset.from_counts(h, elems + Counter([h]))
 
 
 def multiset_w4(delta):

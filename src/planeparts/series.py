@@ -12,13 +12,13 @@ e <= N, and expanded by a single kernel, _expand: the Euler
 and conquer, with each block's contribution read off two half-length
 big-int products of Kronecker-packed values at +2^b and -2^b.
 
-The map of the Schur-process kernel phi comes from the same packing:
-tallying its exponents as A = sum_e n_e z^e, the sums a_i + a_j over
-index pairs i < j are the coefficients of (A^2 - A(z^2)) / 2, so the
-map is one packed square (partitions._packed_product, asked for the
-slots through the order only) instead of a loop over pairs.  A map
-shifted by k*step for every k, as the products over k of phi(z^k X)
-and psi(z^k X, Y) need, is built once and spread (_spread).
+The map of the Schur-process kernel phi is its singles a_i and the sums
+a_i + a_j over index pairs i < j, read off one packed square of their
+tally by profiles.pair_sums; the raw product forms take their boundary
+pairs from the cross sums of profiles.sums, the kernel the exponent
+multisets are built with.  A map shifted by k*step for every k, as the
+products over k of phi(z^k X) and psi(z^k X, Y) need, is built once
+and spread (_spread).
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .profiles import (
     multiset_w3,
     multiset_w4,
     multiset_w5,
+    pair_sums,
+    sums,
 )
 
 
@@ -126,45 +128,11 @@ def _product(exponents, order):
     return TruncatedSeries(order, _expand(exponents, order))
 
 
-def _tally(exponents, order):
-    """(lo, n): n[i] is how many of the exponents <= order equal lo + i, over their span."""
-    kept = [e for e in exponents if e <= order]
-    if not kept:
-        return 0, []
-    lo = min(kept)
-    n = [0] * (max(kept) - lo + 1)
-    for e in kept:
-        n[e - lo] += 1
-    return lo, n
-
-
-def _counter(lo, counts):
-    """The {lo + i: counts[i]} map of the nonzero counts."""
-    return Counter({lo + i: c for i, c in enumerate(counts) if c})
-
-
-def _phi_parts(exponents, order):
-    """phi's exponent map in two parts, up to order (every a_i >= 1): the
-    singles a_i, and the sums a_i + a_j over index pairs i < j.
-
-    With A = sum_e n_e z^e over the tallied exponents, the pair sums are
-    (A^2 - A(z^2)) / 2: two equal values e pair in C(n_e, 2) = (n_e^2 - n_e)/2
-    ways.  Only values <= order - lo can pair within the order, and only
-    the slots of A^2 through z^order are asked of the packed square.
-    """
-    lo, n = _tally(exponents, order)
-    low = n[: max(order - 2 * lo + 1, 0)]
-    square = _packed_product(low, low, 0, min(order - 2 * lo + 1, 2 * len(low) - 1))
-    for i, c in enumerate(n[: (len(square) + 1) // 2]):
-        square[2 * i] -= c
-    return _counter(lo, n), _counter(2 * lo, [c // 2 for c in square])
-
-
 def _phi(exponents, order):
     """Exponent map of phi: each a_i, and a_i + a_j over index pairs i < j, up to order."""
-    singles, pairs = _phi_parts(exponents, order)
-    singles.update(pairs)
-    return singles
+    exps = Counter(e for e in exponents if e <= order)
+    exps.update(pair_sums(exponents, order))
+    return exps
 
 
 def _psi(a_exponents, b_exponents, order):
@@ -186,13 +154,12 @@ def _phi_spread(exponents, step, order):
     """Exponent map of prod_{k>=0} phi(z^(k*step) X), up to order.
 
     The singles of phi(z^(k*step) X) are those of phi(X) shifted by
-    k*step, its pair sums those of phi(X) shifted by 2*k*step: phi(X) is
-    built once and each part spread.
+    k*step, its pair sums those of phi(X) shifted by 2*k*step: each part
+    is built once and spread.
     """
-    singles, pairs = _phi_parts(exponents, order)
-    singles = _spread(singles, step, order)
-    singles.update(_spread(pairs, 2 * step, order))
-    return singles
+    exps = _spread(Counter(exponents), step, order)
+    exps.update(_spread(pair_sums(exponents, order), 2 * step, order))
+    return exps
 
 
 @dataclass(frozen=True)
@@ -282,13 +249,15 @@ def _raw_exponents(width, items, order):
 
     items lists (position, sign) per profile entry.  The factors are the
     boundary pairs 1/(1-z^{q-p}) for a +1 at position p before a -1 at
-    position q, the phi factor over the -1 positions, and for k >= 1 the
-    phi factor over width*k + p (at -1 positions) and width*k - p (at +1
-    positions), divided by 1 - z^{width*k}.
+    position q (the cross sums q + (width - p) above width), the phi
+    factor over the -1 positions, and for k >= 1 the phi factor over
+    width*k + p (at -1 positions) and width*k - p (at +1 positions),
+    divided by 1 - z^{width*k}.
     """
     neg = [p for p, e in items if e == -1]
     pos = [p for p, e in items if e == 1]
-    exps = Counter(q - p for p in pos for q in neg if p < q and q - p <= order)
+    cross = sums(neg, [width - p for p in pos], width + order)
+    exps = Counter({s - width: c for s, c in cross.items() if s > width})
     exps.update(_phi(neg, order))
     exps.update(range(width, order + 1, width))
     exps.update(_phi_spread([width + p for p in neg] + [width - p for p in pos], width, order))

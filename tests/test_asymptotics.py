@@ -37,7 +37,7 @@ def rel_err(a, b):
 
 
 def test_psi_eval_direct_substitution():
-    p = AsymptoticParams(v=1.0, r=1.0, b=0.7, p=0.5)
+    p = AsymptoticParams(log_v=0.0, r=1.0, b=0.7, p=0.5)
     expect = math.sqrt(0.25 / (2 * math.pi)) * math.e
     assert rel_err(psi_eval(p, 1), expect) < 1e-14
     with pytest.raises(ValueError):
@@ -52,19 +52,20 @@ def test_psi_eval_direct_substitution():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        AsymptoticParams(1.0, 0.0, 0.0, 0.5)
+        AsymptoticParams(0.0, 0.0, 0.0, 0.5)
     with pytest.raises(ValueError):
-        AsymptoticParams(1.0, 1.0, 0.0, 1.0)
+        AsymptoticParams(0.0, 1.0, 0.0, 1.0)
 
 
 def test_combine_params():
-    a = AsymptoticParams(2.0, 1.0, 0.0, 0.5)
-    b = AsymptoticParams(3.0, 2.0, 1.0, 0.5)
+    a = AsymptoticParams(math.log(2.0), 1.0, 0.0, 0.5)
+    b = AsymptoticParams(math.log(3.0), 2.0, 1.0, 0.5)
     c = combine_params(a, b)
-    assert (c.v, c.r, c.b, c.p) == (6.0, 3.0, 1.0, 0.5)
+    assert (c.log_v, c.r, c.b, c.p) == (math.log(2.0) + math.log(3.0), 3.0, 1.0, 0.5)
+    assert rel_err(c.v, 6.0) < 1e-15
     assert combine_params(b, a) == c
     with pytest.raises(ValueError):
-        combine_params(a, AsymptoticParams(1.0, 1.0, 0.0, 0.25))
+        combine_params(a, AsymptoticParams(0.0, 1.0, 0.0, 0.25))
 
 
 def test_ribbon_partition_function():

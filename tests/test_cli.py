@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -185,22 +186,63 @@ def test_verify_exit_codes_and_fault_injection():
     assert len(failing) == 1 and failing[0]["first_mismatch"] == 0
 
 
-def test_verify_refuses_an_oversized_battery_under_a_memory_limit():
-    # --max-len 30 would list 2^30 profiles: under a 2 GB address space
-    # it must be refused as bad input (exit 2), not end in MemoryError
-    # (exit 3); the limit is set in the child only
+def run_limited(argv):
+    """Run the CLI in a child process under a 2 GB address space, the limit
+    set in the child only; (the completed process, its wall seconds).  A
+    child ended by a signal has a negative returncode."""
     limit = 2 << 30
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from planeparts.cli import main; sys.exit(main())",
-         "verify", "--max-len", "30"],
+        [sys.executable, "-c", "import sys; from planeparts.cli import main; sys.exit(main())"]
+        + argv,
         env=env, capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
-    assert time.perf_counter() - start < 2
+    return proc, time.perf_counter() - start
+
+
+def test_verify_refuses_an_oversized_battery_under_a_memory_limit():
+    # --max-len 30 would list 2^30 profiles: it must be refused as bad
+    # input (exit 2), not end in MemoryError (exit 3)
+    proc, wall = run_limited(["verify", "--max-len", "30"])
+    assert wall < 2
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: max_len 30 lists more than the 100000 identity checks")
+
+
+def test_wide_profiles_finish_under_a_memory_limit():
+    # the pair multisets are tallies, O(h) in memory: width 100000 and a
+    # 10^4-letter profile once built h^2/2 pair values (6.2 GB and 1.9 GB)
+    rng = random.Random(19)
+    profile = "".join(rng.choice("+-") for _ in range(10**4))
+    for argv in (
+        ["asym", "--family", "dspp", "--m", "100000"],
+        *(["gf", "--family", f, "--profile=" + profile, "--order", "5"] for f in ("dspp", "cp", "scp")),
+    ):
+        proc, wall = run_limited(argv)
+        assert proc.returncode == 0 and wall < 5, (argv[:4], proc.returncode, wall, proc.stderr)
+        assert proc.stdout.endswith("\n")
+
+
+def test_asym_past_the_float_range_of_v():
+    # v is below the float range from width 84: printed as mantissa and
+    # exponent, not as 0.0, and psi_n still evaluates from log v
+    code, out = run_cli(["asym", "--family", "dspp", "--m", "84", "--n", "5"])
+    assert code == 0
+    payload = json.loads(out)
+    mantissa, exponent = payload["params"]["v"].split("e-")
+    assert 1 <= float(mantissa) < 10 and int(exponent) == 327
+    assert payload["psi"]["5"].endswith("e-316") and payload["estimates"]["5"] == 0
+    code, out = run_cli(["asym", "--family", "dspp", "--m", "83"])
+    assert json.loads(out)["params"]["v"].endswith("e-319")  # subnormal at the parent
+    code, out = run_cli(["asym", "--family", "dspp", "--m", "82"])
+    assert json.loads(out)["params"]["v"].endswith("e-311")
+    code, out = run_cli(["asym", "--family", "dspp", "--m", "81"])
+    assert isinstance(json.loads(out)["params"]["v"], float)
+    proc, _ = run_limited(["asym", "--family", "dspp", "--m", "120", "--n", "100000000"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["psi"]["100000000"].endswith("e+60601")
 
 
 def test_verify_depth_shrinks_cases():

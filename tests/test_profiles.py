@@ -1,4 +1,6 @@
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from planeparts.partitions import Partition
 from planeparts.profiles import (
     ExponentMultiset,
     Profile,
+    _positions,
     all_profiles,
     diagonal_start_rows,
     diagonals_to_filling,
@@ -17,11 +20,13 @@ from planeparts.profiles import (
     multiset_w3,
     multiset_w4,
     multiset_w5,
+    pair_sums,
     parse_profile,
     profiles_up_to,
     region_cells,
     reverse_negate,
     run_lengths,
+    sums,
 )
 
 FIG3 = parse_profile("+--+-+-+")
@@ -144,6 +149,74 @@ def test_w4_w5_not_reverse_negate_symmetric():
     assert multiset_w4(parse_profile("-")).elements() == (1, 3)
     assert multiset_w5(parse_profile("++")).elements() == (6,)
     assert multiset_w5(parse_profile("--")).elements() == (4,)
+
+
+def pair_loop_w2(delta, symmetric):
+    """Reference: (base, residues) of w2 (w5 when symmetric) by a literal
+    loop over position pairs p < q."""
+    width, items = _positions(delta, symmetric)
+    elems = Counter()
+    for x, (p, ep) in enumerate(items):
+        for q, eq in items[x + 1 :]:
+            if ep == eq == -1:
+                elems[p + q] += 1
+            elif ep == eq == 1:
+                elems[2 * width - p - q] += 1
+            elif ep < eq:
+                elems[2 * width + p - q] += 1
+            else:
+                elems[q - p] += 1
+    return 2 * width, tuple(sorted(elems.items()))
+
+
+def pair_loop_w3(delta):
+    """Reference: (base, residues) of w3 by a literal loop over index pairs i < j."""
+    h = len(delta)
+    elems = Counter([h])
+    for i in range(1, h + 1):
+        for j in range(i + 1, h + 1):
+            if delta[i - 1] > delta[j - 1]:
+                elems[j - i] += 1
+            elif delta[i - 1] < delta[j - 1]:
+                elems[h + i - j] += 1
+    return h, tuple(sorted(elems.items()))
+
+
+def reference_profiles():
+    """Every profile of length <= 8 and 200 seeded random ones of length <= 200."""
+    rng = random.Random(19)
+    return list(profiles_up_to(8)) + [
+        Profile(rng.choice((1, -1)) for _ in range(rng.randint(0, 200))) for _ in range(200)
+    ]
+
+
+def test_pair_multisets_equal_pair_loops():
+    for delta in reference_profiles():
+        for w, symmetric in ((multiset_w2, False), (multiset_w5, True)):
+            em = w(delta)
+            assert (em.base, em.residues) == pair_loop_w2(delta, symmetric), delta
+        if delta:
+            em = multiset_w3(delta)
+            assert (em.base, em.residues) == pair_loop_w3(delta), delta
+
+
+def test_packed_sums_equal_double_loops():
+    rng = random.Random(20)
+    cases = [([], [], 5), ([3], [], 5), ([], [3], 5), ([3], [3], 5), ([3], [3], 6),
+             ([0], [0], 0), ([4, 4, 4], [4, 4], 7), ([4, 4, 4], [4, 4], 8)]
+    for _ in range(400):
+        hi = rng.choice((1, 2, 6, 40, 200))
+        xs = [rng.randint(0, hi) for _ in range(rng.randint(0, 12))]
+        ys = [rng.randint(0, hi) for _ in range(rng.randint(0, 12))]
+        cases.append((xs, ys, rng.choice((0, 1, 3, 12, 60, 450))))
+    for xs, ys, top in cases:
+        cross = Counter(x + y for x in xs for y in ys if x + y <= top)
+        assert dict(sums(xs, ys, top)) == cross, (xs, ys, top)
+        square = Counter(x + y for x in xs for y in xs if x + y <= top)
+        assert dict(sums(xs, xs, top)) == square, (xs, top)
+        pairs = Counter(xs[i] + xs[j] for i in range(len(xs)) for j in range(i + 1, len(xs))
+                        if xs[i] + xs[j] <= top)
+        assert dict(pair_sums(xs, top)) == pairs, (xs, top)
 
 
 def test_exponent_multiset_validation():

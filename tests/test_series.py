@@ -159,7 +159,35 @@ def pair_loop_phi(exponents, order):
     return exps
 
 
+def pair_loop_raw(width, items, order):
+    """Reference: the raw product's exponent map by literal loops over
+    position pairs, for the boundary pairs and every phi factor."""
+    exps = Counter()
+    for x, (p, ep) in enumerate(items):
+        for q, eq in items[x + 1 :]:
+            if ep == 1 and eq == -1 and q - p <= order:
+                exps[q - p] += 1
+    neg = [p for p, e in items if e == -1]
+    pos = [p for p, e in items if e == 1]
+    exps.update(pair_loop_phi([p for p in neg if p <= order], order))
+    for k in range(1, order // width + 2):  # width * k - p <= order needs k <= this
+        shifted = [width * k + p for p in neg] + [width * k - p for p in pos]
+        exps.update(pair_loop_phi([e for e in shifted if e <= order], order))
+        if width * k <= order:
+            exps[width * k] += 1
+    return exps
+
+
 def test_packed_maps_equal_pair_loops():
+    rng = random.Random(19)
+    profiles = list(profiles_up_to(8)) + [
+        tuple(rng.choice((1, -1)) for _ in range(rng.randint(0, 200))) for _ in range(200)
+    ]
+    for delta in profiles:
+        for symmetric in (False, True):
+            for order in (0, 1, 7, 60):
+                raw = _raw_exponents(*_positions(delta, symmetric), order)
+                assert raw == pair_loop_raw(*_positions(delta, symmetric), order), (delta, order)
     rng = random.Random(10)
     for _ in range(600):
         order = rng.choice((0, 1, 2, 5, 17, 60, 200))
