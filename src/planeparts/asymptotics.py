@@ -197,7 +197,11 @@ def _log_dspp_prefactor(delta):
 
 
 def dspp_prefactor(delta):
-    """The constant C in count(n) ~ C/n * exp(pi sqrt((m^2+m+2) n/(6m)))."""
+    """The constant C in count(n) ~ C/n * exp(pi sqrt((m^2+m+2) n/(6m))).
+
+    exp(_log_dspp_prefactor): 0.0 from width 84, where C is below the
+    float range, as AsymptoticParams.v is.
+    """
     return math.exp(_log_dspp_prefactor(delta))
 
 
@@ -210,21 +214,29 @@ def dspp_params(delta):
     return AsymptoticParams(log_v, r, 0.25, 0.5)
 
 
-def dspp_width_constant(m):
-    """The width-only constant for the staircase profile (-1)^(m-1):
-    a double sine product times sqrt(m^2+m+2) / (2^((m^2-3m+14)/4) sqrt(3m))."""
+def _log_dspp_width_constant(m):
+    """log of dspp_width_constant(m).  Each pair 1 <= i < j with
+    i + j = s <= m - 1 adds log sin(s pi/(2m)), and s has (s-1)//2 of
+    them, so the double sine product is one sum over s."""
     if m < 2:
         raise ValueError("width constant needs m >= 2")
-    log_sines = 0.0
-    for i in range(1, m - 1):
-        for j in range(i + 1, m - i):
-            log_sines += math.log(math.sin((i + j) * math.pi / (2 * m)))
-    return math.exp(
+    log_sines = sum((s - 1) // 2 * math.log(math.sin(s * math.pi / (2 * m))) for s in range(3, m))
+    return (
         -log_sines
         + 0.5 * math.log(m * m + m + 2)
         - (m * m - 3 * m + 14) / 4 * math.log(2)
         - 0.5 * math.log(3 * m)
     )
+
+
+def dspp_width_constant(m):
+    """The width-only constant for the staircase profile (-1)^(m-1):
+    a double sine product times sqrt(m^2+m+2) / (2^((m^2-3m+14)/4) sqrt(3m)).
+
+    exp(_log_dspp_width_constant): 0.0 from width 84, where the constant
+    is below the float range, as AsymptoticParams.v is.
+    """
+    return math.exp(_log_dspp_width_constant(m))
 
 
 def scp_b_fraction(delta):

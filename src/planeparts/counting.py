@@ -20,9 +20,12 @@ every cell of lam costs each later m until a down step removes it
 cannot move within the order, that least charge included.
 partitions keeps each vector as one int with W-bit slots, W proven from
 the chain's length and the order (partitions._width); this module sees
-only lists.  The bytes of the vectors and of the starts a walk keeps are
-estimated before it starts, and an order whose estimate passes
-VECTOR_BUDGET is refused with ValueError.
+only lists.  The bytes of the vectors are estimated before a walk
+starts, and an order whose estimate passes VECTOR_BUDGET is refused
+with ValueError.  A chain with no step (the empty dspp or scp profile,
+a cp profile of length 1) is not walked: it is lam^0 alone, at
+z^|lam^0|, so it counts the partitions of each size
+(partitions._partition_counts).
 
 count_dspp_fillings is the one genuinely exponential oracle: it fills
 the staircase region cell by cell and exists to pin the diagonal-reading
@@ -31,28 +34,22 @@ correspondence against the filling definition.
 
 from __future__ import annotations
 
-from .partitions import _collect, _live_count, _live_starts, _trace, _vector_bytes, _walk
+from .partitions import _live_starts, _partition_counts, _trace, _walk, _width
 from .profiles import Profile, region_cells
 from .series import TruncatedSeries
 
 FILLING_ORDER_BOUND = 8
 # The most bytes a counting walk may hold, estimated before it starts:
 # P(order) * (order + 1) * W/8 for the packed state vectors (one vector
-# per partition of size <= order; W from partitions._width), plus
-# START_BYTES for each start it keeps (partitions._live_count), which
-# covers the start's Partition and its dict entries.  The vector term
-# is the only proven bound, and walks whose first step weighs the new
-# state hold far less: at the largest orders accepted, dspp "++" at 46
-# (estimate 232 MB) peaks at 27 MB of RSS, "+" at 47 (214 MB) at 40 MB,
-# cp "+-" at 46 (234 MB) at 74 MB, as partitions._trace holds the
-# states of a whole size class of betas at once, and cp "+" at 44
-# (235 MB) at 106 MB.
-# The start term is measured: a walk with no step keeps every start,
-# and gives none of them a transfer id (partitions._walk), so the empty
-# profile at order 45 (estimate 236 MB, 165 MB of it starts) peaks at
-# 243 MB, and order 46, which would peak at 278 MB, is refused.
+# per partition of size <= order; W from partitions._width).  It is the
+# only proven bound, and walks whose first step weighs the new state
+# hold far less: at the largest orders accepted, dspp "++" at 46
+# (estimate 232 MB) peaks at 23 MB of RSS, "+" at 47 (212 MB) at 40 MB,
+# and cp "+-" at 46 (232 MB) at 71 MB, as partitions._trace holds the
+# states of a whole size class of betas at once.  Chains with no step
+# are counted, not walked, and peak at 15 MB at their largest accepted
+# orders: the empty profile at 51 (229 MB), cp "+" at 47 (212 MB).
 VECTOR_BUDGET = 256 << 20
-START_BYTES = 320
 
 
 def _parse(delta, order):
@@ -68,14 +65,14 @@ def _steps(delta, m):
 
 
 def _guard(steps, order):
-    """Refuse a walk whose state vectors and starts would pass VECTOR_BUDGET bytes.
+    """Refuse a walk whose state vectors would pass VECTOR_BUDGET bytes.
 
     The estimate grows with the order, so it is taken at each order up
     to this one: a huge order is refused at the first order over the
     budget, without counting the partitions of its own size.
     """
     for n in range(order + 1):
-        if _vector_bytes(len(steps), n) + START_BYTES * _live_count(steps, n) > VECTOR_BUDGET:
+        if sum(_partition_counts(n)) * (n + 1) * _width(1, n, len(steps)) // 8 > VECTOR_BUDGET:
             raise ValueError(
                 "order %d needs more than the %d MB of state vectors the counting "
                 "oracles allow for a profile of length %d" % (order, VECTOR_BUDGET >> 20, len(steps))
@@ -84,7 +81,8 @@ def _guard(steps, order):
 
 
 def _open_chains(delta, order, m):
-    """lam^0 weighted z^{|lam^0|}, walked through the profile.
+    """lam^0 weighted z^{|lam^0|}, walked through the profile; with no
+    step, lam^0 alone, which counts the partitions of each size.
 
     lam^0 ranges over the starts the first step can move, the only ones
     that add to any count (partitions._live_starts).  A new state costs
@@ -92,8 +90,10 @@ def _open_chains(delta, order, m):
     no count and only narrows the walk's slot width.
     """
     steps = _guard(_steps(delta, m), order)
+    if not steps:
+        return TruncatedSeries(order, _partition_counts(order))
     starts = _live_starts(steps, order)
-    return TruncatedSeries(order, _collect(_walk(starts, steps, order, order), order))
+    return TruncatedSeries(order, _walk(starts, steps, order, order))
 
 
 def count_dspp(delta, order):
@@ -108,6 +108,8 @@ def count_cp(delta, order):
     if len(delta) < 1:
         raise ValueError("cylindric profiles need length >= 1")
     steps = _guard(_steps(delta[:-1], 1) + [(delta[-1] == 1, 0, 0)], order)
+    if len(steps) == 1:  # lam^0 closes with itself alone
+        return TruncatedSeries(order, _partition_counts(order))
     return TruncatedSeries(order, _trace(steps, order))
 
 

@@ -26,24 +26,26 @@ size bucket of the one enumerator, _strips, grown only as far as some
 step has asked (_grow).  The window charges the move and the least the
 rest of the chain must still pay from the new state (_ahead), so only
 states that can still end within the order are made.  _walk numbers its
-starts and takes a chain's steps in turn, told how it will be read: at
-one target partition, or summed with an end weight.  _trace sums a
-chain over its closed walks, lam^0 = lam^h, each walk targeted at its
-own start; the starts of one size share that target size, so they walk
-together, one transfer per size class, each state keyed by its id in
-the low _ID_BITS bits and its start's index in the class above them.
+starts and takes a chain's steps in turn, told once how it will be
+read, and returns that read: the vector at one target partition, or the
+sum over its end states with an end weight.  _trace sums a chain over
+its closed walks, lam^0 = lam^h, each walk targeted at its own start;
+the starts of one size share that target size, so they walk together,
+one transfer per size class, each state keyed by its id in the low
+_ID_BITS bits and its start's index in the class above them.
 _live_starts reads off the first step's window, with the lookahead's
 charge, the starts that step can move at all: _trace's betas, and the
-counting oracles' open starts; _live_count counts them for the counting
-oracles' memory guard.  The counting oracles and both sides of every
-skew Schur identity only say which steps their chains take, with
+counting oracles' open starts.  The counting oracles and both sides of
+every skew Schur identity only say which steps their chains take, with
 partitions going in and lists coming out; ids never leave this module.
 
 Inside the transfer a coefficient vector c_0..c_order is one int with
 W-bit slots, sum_d c_d << d*W, so a move is one shift and one mask,
 shared by all partners of one size.  W is fixed per walk from a proven
-bound on its coefficients (_width) and never widened; _collect, _at and
-_trace unpack at the end, so callers see only lists.
+bound on its coefficients (_width) and never widened; _walk and _trace
+unpack at the end, so callers see only lists.  The bound counts
+partitions with _partition_counts, p(0..n) per size, which also gives
+the counting oracles the chains with no step.
 """
 
 from __future__ import annotations
@@ -245,13 +247,14 @@ def _grow(mu, up, least, hi):
 
 
 @lru_cache(maxsize=None)
-def _partition_count(n):
-    """The number of partitions of size <= n (p(k) built up part size by part size)."""
+def _partition_counts(n):
+    """p(0), ..., p(n), the numbers of partitions of each size (built up
+    part size by part size)."""
     p = [1] + [0] * n
     for part in range(1, n + 1):
         for k in range(part, n + 1):
             p[k] += p[k - part]
-    return sum(p)
+    return tuple(p)
 
 
 def _width(top, size, nsteps):
@@ -261,19 +264,14 @@ def _width(top, size, nsteps):
     and every state it reaches has size <= size.  A step lists each lam
     at most once per state mu, so it multiplies the largest coefficient
     by at most P(size), the number of partitions of size <= size.  A
-    final sum over states is one factor more: _collect's, or for a
-    trace, whose closing counts as a step, the sum over every beta.  So
-    every value the walk holds is at most top * P(size)^(nsteps+1), and
-    one bit more keeps a slot from ever filling.
+    final sum over states is one factor more: an open walk's end sum,
+    or for a trace, whose closing counts as a step, the sum over every
+    beta.  So every value the walk holds is at most
+    top * P(size)^(nsteps+1), and one bit more keeps a slot from ever
+    filling.
     """
-    bits = (top * _partition_count(size) ** (nsteps + 1)).bit_length() + 1
+    bits = (top * sum(_partition_counts(size)) ** (nsteps + 1)).bit_length() + 1
     return -(-bits // 8) * 8
-
-
-def _vector_bytes(nsteps, order):
-    """The bytes of a counting walk's state vectors: one per partition of
-    size <= order, each of order + 1 slots."""
-    return _partition_count(order) * (order + 1) * _width(1, order, nsteps) // 8
 
 
 def _pack(vec, width):
@@ -440,31 +438,22 @@ def _strip_step(dist, up, order, a, m, width, cap=None, ahead=(0, None, None), g
     return ndist
 
 
-def _first_move(steps):
-    """(up, a, c) of a chain's first step (up, a, m): c = m + p is the least
-    each cell of the new state pays, its own weight and p, _ahead's charge
-    for the rest of the chain with no end weight.  With no steps, a step
-    of no weight."""
-    if not steps:
-        return True, 0, 0
-    (up, a, m), (p, _, _) = steps[0], _ahead(steps, 0)[0]
-    return up, a, m + p
-
-
 def _live_starts(steps, order):
     """The starts lam, at z^|lam|, that a chain's first step (up, a, m) can
-    move, as a map lam -> |lam|; with no steps, every start.
+    move, as a map lam -> |lam|.
 
     Read off _strip_step's window for that step with _ahead's first
-    bound and no goal, at budget order - |lam|: a move to lam' weighs
-    a*|strip| + c*|lam'| at the least, c as in _first_move.  Up,
+    bound p and no goal, at budget order - |lam|: a move to lam' weighs
+    a*|strip| + c*|lam'| at the least, c = m + p, each cell's own
+    weight and the least the rest of the chain charges it.  Up,
     |lam'| >= |lam|, and so does down when a >= c, where the cheapest
     move keeps lam: |lam| <= order // (c+1), partitions_of's own
     objects in partitions_up_to's order.  Down with a < c, the cheapest
     move drops lam's first row: lam = (k,) + nu with k >= nu_1 and
     (a+1)k + (c+1)|nu| <= order.
     """
-    up, a, c = _first_move(steps)
+    (up, a, m), (p, _, _) = steps[0], _ahead(steps, 0)[0]
+    c = m + p
     top = order // (c + 1)
     if up or a >= c:
         return {lam: s for s in range(top + 1) for lam in partitions_of(s)}
@@ -476,20 +465,6 @@ def _live_starts(steps, order):
     return starts
 
 
-def _live_count(steps, order):
-    """len(_live_starts(steps, order)), without building the starts."""
-    up, a, c = _first_move(steps)
-    top = order // (c + 1)
-    if up or a >= c:
-        return _partition_count(top)
-    # the empty partition, then each nu with its choices of k
-    return 1 + sum(
-        max(0, (order - (c + 1) * s) // (a + 1) - (nu[0] if nu else 1) + 1)
-        for s in range(top + 1)
-        for nu in partitions_of(s)
-    )
-
-
 def _walk(starts, steps, order, cap=None, kernel=None, target=None, end=0):
     """Take each (up, a, m) step of a chain in turn; up steps keep |lam| <= cap.
 
@@ -497,39 +472,25 @@ def _walk(starts, steps, order, cap=None, kernel=None, target=None, end=0):
     the kernel (a coefficient list, nonnegative) when one is given.  An
     up step costs at least its strip and no weight is negative, so every
     state has size <= max start size + order, or <= the cap.  The walk
-    is told how it will be read: at the partition target (_at), or
-    summed with weight z^(end*|lam|) (_collect); each step then keeps
-    only the states that can still end there within the order (_ahead).
-    Returns what _collect and _at read: the final map, the width, and
-    whether the map is keyed by id.  Only a step needs ids, so a walk
-    with no step keeps its starts as they are, and numbers none of them.
+    is told how it will be read, and returns that read: the vector of
+    the partition target when one is given (zeros for a partition it
+    never met), else the sum over its end states lam of z^(end*|lam|)
+    times their vectors.  Each step keeps only the states that can still
+    end there within the order (_ahead).
     """
     biggest = max(map(sum, starts))
     size = biggest + order if cap is None else min(biggest + order, max(biggest, cap))
     width = _width(max(kernel) if kernel else 1, size, len(steps))
     unit = _pack(kernel, width) if kernel else 1
     full = (1 << (order + 1) * width) - 1
-    keys = _number(starts) if steps else starts
-    dist = {k: (unit << d * width) & full for k, d in zip(keys, starts.values())}
+    dist = {k: (unit << d * width) & full for k, d in zip(_number(starts), starts.values())}
     goal = None if target is None else sum(target)
     for (up, a, m), ahead in zip(steps, _ahead(steps, end)):
         dist = _strip_step(dist, up, order, a, m, width, cap, ahead, goal)
-    return dist, width, bool(steps)
-
-
-def _collect(walked, order, m=0):
-    """The sum over all states lam of z^(m*|lam|) times their vectors."""
-    dist, width, by_id = walked
-    full = (1 << (order + 1) * width) - 1
-    size = _sizes.__getitem__ if by_id else sum
-    total = sum((v << m * size(k) * width) & full for k, v in dist.items())
-    return _unpack(total, width, order)
-
-
-def _at(walked, lam, order):
-    """The vector of state lam; zeros for a partition the walk never met."""
-    dist, width, by_id = walked
-    return _unpack(dist.get(_ids.get(lam) if by_id else lam, 0), width, order)
+    if target is not None:
+        return _unpack(dist.get(_ids.get(target), 0), width, order)
+    sizes = _sizes
+    return _unpack(sum((v << end * sizes[k] * width) & full for k, v in dist.items()), width, order)
 
 
 def _trace(steps, order):
@@ -539,8 +500,8 @@ def _trace(steps, order):
     last step (up, a, m) is not taken: an end state mu closes if mu and
     beta interlace in its direction, and adds its vector shifted by
     a*|strip| + m*|beta|.  So a closing step may have zero weight,
-    a == m == 0, which _strip_step cannot take; the empty chain closes
-    through such a step from beta to itself.  Each body step keeps only
+    a == m == 0, which _strip_step cannot take; the empty chain is read
+    as such a step alone, from beta to itself.  Each body step keeps only
     the states that can still close at beta within the order, the
     closing step counted among the steps ahead (_ahead, with no end
     weight: beta was weighed at the start).  Every state has size
@@ -550,16 +511,15 @@ def _trace(steps, order):
     The betas of one size share that bound, so they walk together, one
     _strip_step per body step for the whole size class: a state's key
     holds its id in the low _ID_BITS bits and the index of its beta in
-    the class above them, and the closing test reads both back.  With
-    no body step, each beta closes with itself alone, so a class adds
-    its count at z^((m+1)|beta|), and no beta is numbered.
+    the class above them, and the closing test reads both back.
 
     The betas are the chain's _live_starts: no other beta survives the
     first step, the closing one when there is no other (a lone closing
     step down with m > a weighs beta, so it keeps a few extra betas).
     """
-    *body, (up, a, m) = steps or [(True, 0, 0)]
-    width = _width(1, order, len(body) + 1)
+    steps = steps or [(True, 0, 0)]
+    *body, (up, a, m) = steps
+    width = _width(1, order, len(steps))
     full = (1 << (order + 1) * width) - 1
     total = 0
     aheads = _ahead(steps, 0)
@@ -568,10 +528,6 @@ def _trace(steps, order):
     for beta, size in _live_starts(steps, order).items():
         classes.setdefault(size, []).append(beta)
     for size, betas in classes.items():
-        if not body:
-            # each beta closes with itself, at z^((m+1)|beta|)
-            total += (len(betas) << (m + 1) * size * width) & full
-            continue
         start = 1 << size * width
         dist = {j << bits | i: start for j, i in enumerate(_number(betas))}
         for (b_up, b_a, b_m), ahead in zip(body, aheads):

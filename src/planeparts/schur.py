@@ -13,14 +13,13 @@ chain of k horizontal strips, one per letter, and the letter z^a
 weights its strip by z^(a*|strip|); so a factor in k letters is k steps
 (up, a, 0) of partitions._walk, the transfer the counting oracles use
 as well.  A walk starts at one partition or at all of them, each at a
-power of z, moves through the steps, and is then read at one partition
-(partitions._at) or summed (partitions._collect); the walk is told
-which, the target partition or the end weight, so it makes only the
-states that can still end there within the order.  partitions keeps its
-truncated coefficient vectors as ints with W-bit slots, W proven per
-walk from the chain's length, the order and the largest start
-coefficient; this module passes start degrees and kernel lists and
-reads back lists.  The cylindric left side closes the chain,
+power of z, moves through the steps, and is read at one partition or
+summed with an end weight; partitions._walk is told which, once, and
+returns that read, making only the states that can still end there
+within the order.  partitions keeps its truncated coefficient vectors
+as ints with W-bit slots, W proven per walk from the chain's length,
+the order and the largest start coefficient; this module passes start
+degrees and kernel lists and reads back lists.  The cylindric left side closes the chain,
 lam^0 = lam^h, and is a trace, partitions._trace.  The lemmas and the
 textbook identities p93A and p94A are instances of the three summation
 formulas; only p93B has walks of its own.  All substituted exponents
@@ -48,7 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product as iter_product
 
-from .partitions import EMPTY, Partition, _at, _collect, _trace, _walk, partitions_up_to
+from .partitions import EMPTY, Partition, _trace, _walk, partitions_up_to
 from .profiles import Profile, all_profiles
 from .series import TruncatedSeries, _expand, _phi, _phi_spread, _psi, _spread
 
@@ -82,8 +81,8 @@ def skew_schur_z(lam, mu, alphabet, order):
     lam = Partition(lam)
     mu = Partition(mu)
     alphabet = _normalize_alphabet(alphabet)
-    walked = _walk({mu: 0}, _letters(True, alphabet), order, lam.size, target=lam)
-    return TruncatedSeries(order, _at(walked, lam, order))
+    steps = _letters(True, alphabet)
+    return TruncatedSeries(order, _walk({mu: 0}, steps, order, lam.size, target=lam))
 
 
 class IdentityReport:
@@ -180,7 +179,7 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
         rhs = _expand(pair + _complete_exponents(x_all, x_all + y_all, order), order)
         # every chain from every start, times z^|lam^h|
         starts = dict.fromkeys(partitions_up_to(order), 0)
-        lhs = _collect(_walk(starts, _zigzag(x_alphas, y_alphas), order, order, end=1), order, 1)
+        lhs = _walk(starts, _zigzag(x_alphas, y_alphas), order, order, end=1)
         return IdentityReport("complete", params, order, lhs, rhs)
 
     if which == "cylindric":
@@ -195,7 +194,7 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
         rhs = _walk({lam0: 0}, _zigzag((x_all,), (y_all,)), order, lamh.size, kernel, lamh)
         lhs = _walk({lam0: 0}, _zigzag(x_alphas, y_alphas), order, target=lamh)
         params["endpoints"] = [list(lam0), list(lamh)]
-        return IdentityReport("open", params, order, _at(lhs, lamh, order), _at(rhs, lamh, order))
+        return IdentityReport("open", params, order, lhs, rhs)
 
     raise ValueError("unknown summation kind %r" % (which,))
 
@@ -283,8 +282,8 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
     if which == "p93B":
         nu = Partition(nu)
         kernel = _expand(_phi(x_alpha, order), order)
-        lhs = _collect(_walk({nu: 0}, _letters(True, x_alpha), order), order)
-        rhs = _collect(_walk({nu: 0}, _letters(False, x_alpha), order, kernel=kernel), order)
+        lhs = _walk({nu: 0}, _letters(True, x_alpha), order)
+        rhs = _walk({nu: 0}, _letters(False, x_alpha), order, kernel=kernel)
         params = {"x_alphabet": list(x_alpha), "nu": list(nu)}
         return IdentityReport("p93B", params, order, lhs, rhs)
 

@@ -6,6 +6,8 @@ import pytest
 
 from planeparts.asymptotics import (
     AsymptoticParams,
+    _log_dspp_prefactor,
+    _log_dspp_width_constant,
     combine_params,
     dspp_growth_rate_fraction,
     dspp_params,
@@ -142,6 +144,13 @@ def test_width_constant():
         assert rel_err(dspp_width_constant(m), dspp_prefactor(staircase)) < 1e-10
     with pytest.raises(ValueError):
         dspp_width_constant(1)
+    # past the float range both constants read 0.0, and their logs agree
+    for m in (84, 90, 2000):
+        staircase = parse_profile("-" * (m - 1))
+        assert dspp_width_constant(m) == dspp_prefactor(staircase) == 0.0
+        log_c = _log_dspp_width_constant(m)
+        assert rel_err(log_c, _log_dspp_prefactor(staircase)) < 1e-12, m
+        assert log_c < -700
 
 
 def test_scp_exponents_exact():

@@ -10,7 +10,9 @@ import time
 import weakref
 from pathlib import Path
 
-from planeparts import cli
+import pytest
+
+from planeparts import cli, counting
 from planeparts.cli import main
 from planeparts.series import classical_gf
 
@@ -186,7 +188,15 @@ def test_verify_exit_codes_and_fault_injection():
     assert len(failing) == 1 and failing[0]["first_mismatch"] == 0
 
 
-def run_limited(argv):
+CLI_CHILD = "import sys; from planeparts.cli import main; sys.exit(main())"
+# the same, printing the child's peak RSS in kB as its last stderr line
+PEAK_CHILD = (
+    "import resource, sys; from planeparts.cli import main; code = main(); "
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(code)"
+)
+
+
+def run_limited(argv, child=CLI_CHILD):
     """Run the CLI in a child process under a 2 GB address space, the limit
     set in the child only; (the completed process, its wall seconds).  A
     child ended by a signal has a negative returncode."""
@@ -194,8 +204,7 @@ def run_limited(argv):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from planeparts.cli import main; sys.exit(main())"]
-        + argv,
+        [sys.executable, "-c", child] + argv,
         env=env, capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
@@ -209,6 +218,35 @@ def test_verify_refuses_an_oversized_battery_under_a_memory_limit():
     assert wall < 2
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: max_len 30 lists more than the 100000 identity checks")
+
+
+def test_stepless_counts_run_to_their_guard_under_a_memory_limit():
+    # a chain with no step counts the partitions of each size instead of
+    # walking: the empty profile runs through order 51 and cp of length 1
+    # through 47, where the guard's vector estimate reaches its budget;
+    # one order more is refused as bad input at once
+    for family, profile, top, p_top in (("dspp", "", 51, 239943), ("cp", "+", 47, 124754)):
+        argv = ["count", "--family", family, "--profile=" + profile, "--format", "json", "--order"]
+        proc, wall = run_limited(argv + [str(top)])
+        assert proc.returncode == 0 and wall < 2, (family, proc.returncode, wall, proc.stderr)
+        assert json.loads(proc.stdout)["coefficients"][-1] == str(p_top)
+        proc, wall = run_limited(argv + [str(top + 1)])
+        assert proc.returncode == 2 and wall < 2 and proc.stdout == "", (family, wall)
+        assert proc.stderr.startswith("error: order %d needs more than the 256 MB" % (top + 1))
+
+
+def test_guard_estimate_is_above_the_peak(monkeypatch):
+    # a count accepted by the guard peaks below the guard's estimate: with
+    # the budget lowered to a fresh child's peak RSS at that order, the
+    # guard refuses the order
+    for profile, order, steps in (("++", 46, counting._steps((1, 1), 1)), ("", 51, [])):
+        argv = ["count", "--family", "dspp", "--profile=" + profile, "--order", str(order)]
+        proc, _ = run_limited(argv, PEAK_CHILD)
+        assert proc.returncode == 0, proc.stderr
+        peak = int(proc.stderr.split()[-1]) << 10
+        monkeypatch.setattr(counting, "VECTOR_BUDGET", peak)
+        with pytest.raises(ValueError):
+            counting._guard(steps, order)
 
 
 def test_wide_profiles_finish_under_a_memory_limit():

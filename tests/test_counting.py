@@ -9,7 +9,7 @@ from planeparts.counting import (
     count_dspp_fillings,
     count_scp,
 )
-from planeparts.partitions import is_horizontal_strip, partitions_up_to
+from planeparts.partitions import is_horizontal_strip, partitions_of, partitions_up_to
 from planeparts.profiles import parse_profile, profiles_up_to, reverse_negate
 from planeparts.series import cp_gf, dspp_gf, scp_gf
 
@@ -175,19 +175,27 @@ def test_fillings_refusals():
         count_dspp_fillings(parse_profile("+-"), -1)
 
 
-def test_guard_charges_the_starts_a_walk_keeps():
-    # the empty profile keeps every start: its vectors alone would let
-    # order 51 through, where the walk peaks near three times the budget
-    with pytest.raises(ValueError):
-        counting._guard([], 51)
-    with pytest.raises(ValueError):
-        counting._guard([], 46)
-    counting._guard([], 45)
-    # walks whose first step weighs the new state keep few starts, so
-    # their largest accepted orders are those of the vectors alone
+def test_stepless_chains_count_partitions_and_the_guard_keeps_its_tops(monkeypatch):
+    # a chain with no step is lam^0 alone, at z^|lam^0|: the empty dspp and
+    # scp profiles and cp of length 1 count the partitions of each size,
+    # and never walk
+    def walked(*args, **kwargs):
+        raise AssertionError("a chain with no step was walked")
+
+    monkeypatch.setattr(counting, "_walk", walked)
+    monkeypatch.setattr(counting, "_trace", walked)
+    for order in (0, 1, 12, 30):
+        expect = tuple(len(partitions_of(n)) for n in range(order + 1))
+        for got in (count_dspp((), order), count_scp((), order), count_cp((1,), order),
+                    count_cp((-1,), order)):
+            assert got.coeffs == expect, order
+    monkeypatch.undo()
+    # the guard charges the vectors alone: chains with no step run to 51
+    # (cp of length 1, whose closing step counts, to 47), and the walks
+    # keep their largest accepted orders
     cp_steps = counting._steps((1,), 1) + [(False, 0, 0)]
-    for steps, top in ((counting._steps((1, 1), 1), 46), (counting._steps((1,), 1), 47),
-                       (cp_steps, 46)):
+    for steps, top in (([], 51), ([(True, 0, 0)], 47), (counting._steps((1, 1), 1), 46),
+                       (counting._steps((1,), 1), 47), (cp_steps, 46)):
         assert counting._guard(steps, top) == steps
         with pytest.raises(ValueError):
             counting._guard(steps, top + 1)

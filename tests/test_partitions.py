@@ -9,10 +9,7 @@ from planeparts.partitions import (
     EMPTY,
     Partition,
     _ahead,
-    _at,
-    _collect,
     _grow,
-    _live_count,
     _live_starts,
     _number,
     _pack,
@@ -244,15 +241,6 @@ def test_registry_round_trips_ids_sizes_and_tables(monkeypatch):
     assert grown and len(parts) == len(partitions._ids)
 
 
-def test_live_count_counts_the_live_starts():
-    for order in range(16):
-        for up in (True, False):
-            for a, m in ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0)):
-                steps = [(up, a, m), (not up, 0, 1)]
-                assert _live_count(steps, order) == len(_live_starts(steps, order)), (order, steps)
-        assert _live_count([], order) == len(_live_starts([], order))
-
-
 def test_enumerators_build_valid_partitions():
     # partitions_of builds Partitions with tuple.__new__, skipping the
     # constructor's check, and _strips builds plain tuples, so what
@@ -351,10 +339,9 @@ def test_live_starts_are_the_movable_starts():
                     # in partitions_up_to's order
                     assert len(live) == len(everything)
                     assert all(x is y for x, y in zip(live, everything)), (order, up, a)
-            # the zero-weight closing step, and the empty chain, keep every start
-            for steps in ([(up, 0, 0)], []):
-                assert list(_live_starts(steps, order).items()) == [
-                    (lam, lam.size) for lam in everything]
+            # the zero-weight closing step keeps every start
+            assert list(_live_starts([(up, 0, 0)], order).items()) == [
+                (lam, lam.size) for lam in everything]
 
 
 def reference_trace(steps, order):
@@ -421,28 +408,23 @@ def reference_walk(starts, steps, order, cap=None, kernel=None):
 
 def packed_against_lists(starts, steps, order, cap=None, kernel=None, m=0):
     """Walk starts (state -> degree, times the kernel) packed and as lists
-    of reference steps, compare the states and the final sum weighted
-    z^(m*|lam|), and return the walk's width and the largest coefficient
-    the lists reached."""
+    of reference steps, compare each end state, read as the walk's
+    target, and the final sum weighted z^(m*|lam|), read with end weight
+    m, and return the largest coefficient the lists reached."""
     maps = reference_walk(starts, steps, order, cap, kernel)
     dist = maps[-1]
     top = max(max(vec) for states in maps for vec in states.values())
-    walked = _walk(starts, steps, order, cap, kernel)
-    packed, width, by_id = walked
-    assert by_id == bool(steps)
-    assert {partitions._parts[i] if by_id else i: _unpack(v, width, order)
-            for i, v in packed.items()} == dist
     for lam, vec in dist.items():
-        assert _at(walked, lam, order) == vec
+        assert _walk(starts, steps, order, cap, kernel, target=lam) == vec, lam
     total = [0] * (order + 1)
     for lam, vec in dist.items():
         for d in range(m * sum(lam), order + 1):
             total[d] += vec[d - m * sum(lam)]
-    assert _collect(walked, order, m) == total
-    return width, max([top] + total)
+    assert _walk(starts, steps, order, cap, kernel, end=m) == total
+    return max([top] + total)
 
 
-def test_width_holds_the_worst_cases():
+def test_width_holds_the_worst_cases(monkeypatch):
     order = 10
     two = ((1, 2), (1, 2))
     chain = _zigzag(two, two)
@@ -462,8 +444,20 @@ def test_width_holds_the_worst_cases():
     for m in (1, 2):
         cases.append(({lam: lam.size for lam in partitions_up_to(21)}, _steps((1, -1, 1), m),
                       21, 21, None, 0))
+    # every walk of one case is given the same width, and it is read
+    # off partitions._width as _walk asks for it
+    widths = []
+
+    def spied(*args):
+        widths.append(_width(*args))
+        return widths[-1]
+
+    monkeypatch.setattr(partitions, "_width", spied)
     for starts, steps, n, cap, kernel, m in cases:
-        width, top = packed_against_lists(starts, steps, n, cap, kernel, m)
+        widths.clear()
+        top = packed_against_lists(starts, steps, n, cap, kernel, m)
+        width = widths[0]
+        assert widths == [width] * len(widths), (steps, widths)
         assert 0 < top < 1 << (width - 1), (steps, width, top)
     # the same chain closed, as the cylindric left side (order 8: the
     # brute-force trace takes ten times longer at order 10)
@@ -486,11 +480,10 @@ def test_random_chains_equal_the_references(monkeypatch):
         starts = {lam: rng.randrange(order - lam.size + 1) if lam.size <= order else 0
                   for lam in rng.sample(pool, rng.randint(1, min(4, len(pool))))}
         packed_against_lists(starts, steps, order, m=rng.randrange(2))
-        walked = _walk(starts, steps, order)
         # a partition past every reachable size is never met, and reads as zeros
         far = Partition((order + 6,))
+        assert _walk(starts, steps, order, target=far) == [0] * (order + 1)
         assert far not in partitions._ids
-        assert _at(walked, far, order) == [0] * (order + 1)
         closed = steps + [(rng.random() < 0.5, 0, 0)]
         assert _trace(closed, order) == reference_trace(closed, order), (order, closed)
     # skew_schur_z reads a lam no walk reached as the zero series
@@ -505,8 +498,8 @@ def test_random_chains_equal_the_references(monkeypatch):
 def test_lookahead_reads_equal_the_references(monkeypatch):
     # random chains in mixed directions, weighing strips, states or both,
     # each read the three ways the callers read a walk: at one target
-    # partition below or above the starts (_at), summed with end weight
-    # z^|lam| (_collect), and closed by a step of any weight, zero weight
+    # partition below or above the starts (target), summed with end weight
+    # z^|lam| (end), and closed by a step of any weight, zero weight
     # included (_trace).  Each read lets the walk drop the states that
     # cannot end there within the order (_ahead), and must lose nothing.
     rng = random.Random(16)
@@ -523,12 +516,12 @@ def test_lookahead_reads_equal_the_references(monkeypatch):
         for lam, vec in ends.items():
             for d in range(sum(lam), order + 1):
                 total[d] += vec[d - sum(lam)]
-        assert _collect(_walk(starts, steps, order, end=1), order, 1) == total, (order, steps)
+        assert _walk(starts, steps, order, end=1) == total, (order, steps)
         # a reached end and a partition of any size up to the largest reachable
         size = rng.randrange(max(map(sum, starts)) + order + 1)
         targets = [rng.choice(partitions_of(size))] + ([rng.choice(sorted(ends))] if ends else [])
         for target in targets:
-            got = _at(_walk(starts, steps, order, target=target), target, order)
+            got = _walk(starts, steps, order, target=target)
             assert got == ends.get(target, [0] * (order + 1)), (order, steps, starts, target)
         closed = steps + [(rng.random() < 0.5,) + rng.choice(weights + ((0, 0),) * 2)]
         assert _trace(closed, order) == reference_trace(closed, order), (order, closed)
@@ -575,7 +568,6 @@ def test_live_starts_are_the_first_moves_with_the_lookahead():
         live = _live_starts(steps, order)
         assert set(live) == set(moved), (order, steps)
         assert all(s == sum(lam) for lam, s in live.items())
-        assert _live_count(steps, order) == len(live), (order, steps)
         # the three ways a first step's window is read: up, down keeping
         # lam, and down dropping lam's first row (m + p > a), strip
         # weight included
@@ -588,7 +580,7 @@ def test_live_starts_charge_the_lookahead():
     # lam^0 itself twice, fits: 3|lam^0| <= 45.  Charging only the first
     # step's own weight kept every |lam^0| <= 22, 4,508 starts
     steps = _steps((1, 1), 1)
-    assert len(_live_starts(steps, 45)) == _live_count(steps, 45) == 684
+    assert len(_live_starts(steps, 45)) == 684
     assert sum(1 for lam in partitions_up_to(15)) == 684
     assert sum(1 for lam in partitions_up_to(22)) == 4508
 
