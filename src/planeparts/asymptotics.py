@@ -23,33 +23,35 @@ rationals (b itself, and the coefficient of pi^2 in r), exposed through
 the *_fraction helpers.
 """
 
-from __future__ import annotations
-
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .profiles import Profile, epsilon, multiset_w1, multiset_w2, multiset_w4, multiset_w5
 from .series import dspp_product_spec, scp_product_spec
 
 
-@dataclass(frozen=True)
-class AsymptoticParams:
-    """Parameters (v, r, b, p) of the growth shape psi_n(v, r, b; p), with v
-    held as its natural logarithm log_v: v falls below the float range
-    from width 84 on."""
+class AsymptoticParams(tuple):
+    """Parameters (v, r, b, p) of the growth shape psi_n(v, r, b; p): the
+    record (log_v, r, b, p), with v held as its natural logarithm log_v,
+    since v falls below the float range from width 84 on."""
 
-    log_v: float
-    r: float
-    b: float
-    p: float
+    __slots__ = ()
+    log_v = property(itemgetter(0))
+    r = property(itemgetter(1))
+    b = property(itemgetter(2))
+    p = property(itemgetter(3))
 
-    def __post_init__(self):
-        if not self.r > 0:
+    def __new__(cls, log_v, r, b, p):
+        if not r > 0:
             raise ValueError("r must be positive")
-        if not 0 < self.p < 1:
+        if not 0 < p < 1:
             raise ValueError("p must lie in (0, 1)")
+        return super().__new__(cls, (log_v, r, b, p))
+
+    def __repr__(self):
+        return "AsymptoticParams(log_v=%r, r=%r, b=%r, p=%r)" % self
 
     @property
     def v(self):

@@ -12,14 +12,12 @@ codes: 0 on success, 1 when a verification case fails, 2 on usage errors,
 out of memory is reported as one constant line).
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
 import math
 import sys
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
 
 from . import asymptotics, counting, schur, series
 from .profiles import (
@@ -32,17 +30,14 @@ from .profiles import (
 )
 
 
-class Family(NamedTuple):
-    """The routes of one family; None where the family has no such route.
-
-    The lambdas look their targets up when called, so a function rebound
-    in its module (by a tracer or a profiler) is the one that runs.
-    """
-
-    gf: Callable  # (profile, order) -> TruncatedSeries
-    multisets: Optional[Callable] = None  # profile -> the multisets gf --format json prints
-    count: Optional[Callable] = None  # (profile, order) -> TruncatedSeries
-    params: Optional[Callable] = None  # profile -> AsymptoticParams
+# The routes of one family; None where the family has no such route:
+#   gf         (profile, order) -> TruncatedSeries
+#   multisets  profile -> the multisets gf --format json prints
+#   count      (profile, order) -> TruncatedSeries
+#   params     profile -> AsymptoticParams
+# The lambdas look their targets up when called, so a function rebound
+# in its module (by a tracer or a profiler) is the one that runs.
+Family = namedtuple("Family", "gf multisets count params", defaults=(None, None, None))
 
 
 FAMILIES = {

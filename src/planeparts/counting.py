@@ -32,8 +32,6 @@ the staircase region cell by cell and exists to pin the diagonal-reading
 correspondence against the filling definition.
 """
 
-from __future__ import annotations
-
 from .partitions import _live_starts, _partition_counts, _trace, _walk, _width
 from .profiles import Profile, region_cells
 from .series import TruncatedSeries

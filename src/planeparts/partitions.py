@@ -48,8 +48,6 @@ partitions with _partition_counts, p(0..n) per size, which also gives
 the counting oracles the chains with no step.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 

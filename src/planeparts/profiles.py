@@ -30,11 +30,9 @@ column - row = k - |delta|_1; its first cell sits in row
 has length m - 1 and indices run over 1 <= i < j <= m - 1.
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .partitions import Partition, _packed_product
 
@@ -72,21 +70,19 @@ def parse_profile(text):
         return Profile()
     if all(ch in "+-" for ch in t):
         return Profile(1 if ch == "+" else -1 for ch in t)
-    if all(ch in "+-0123456789, \t" for ch in t):
-        entries = []
-        for pos, token in enumerate(t.split(",")):
-            tok = token.strip()
-            if tok in ("1", "+1"):
-                entries.append(1)
-            elif tok == "-1":
-                entries.append(-1)
-            else:
-                raise ValueError("cannot parse profile entry %r at position %d" % (token, pos))
-        return Profile(entries)
     for pos, ch in enumerate(t):
-        if ch not in "+-":
+        if ch not in "+-0123456789, \t":
             raise ValueError("unexpected character %r at position %d" % (ch, pos))
-    raise AssertionError("unreachable")
+    entries = []
+    for pos, token in enumerate(t.split(",")):
+        tok = token.strip()
+        if tok in ("1", "+1"):
+            entries.append(1)
+        elif tok == "-1":
+            entries.append(-1)
+        else:
+            raise ValueError("cannot parse profile entry %r at position %d" % (token, pos))
+    return Profile(entries)
 
 
 def reverse_negate(delta):
@@ -99,21 +95,26 @@ def epsilon(delta):
     return -sum(e * i for i, e in enumerate(tuple(delta), start=1))
 
 
-@dataclass(frozen=True)
-class ExponentMultiset:
-    """A multiset of residues t, each standing for the factors 1/(1-z^(base*k+t)), k >= 0."""
+class ExponentMultiset(tuple):
+    """A multiset of residues t, each standing for the factors 1/(1-z^(base*k+t)), k >= 0:
+    the record (base, residues), residues a sorted tuple of (residue, multiplicity)."""
 
-    base: int
-    residues: tuple  # sorted tuple of (residue, multiplicity)
+    __slots__ = ()
+    base = property(itemgetter(0))
+    residues = property(itemgetter(1))
 
-    def __post_init__(self):
-        if self.base < 1:
+    def __new__(cls, base, residues):
+        if base < 1:
             raise ValueError("base modulus must be >= 1")
-        for t, m in self.residues:
+        for t, m in residues:
             if t < 1:
                 raise ValueError("residues must be >= 1, got %r" % (t,))
             if m < 1:
                 raise ValueError("multiplicities must be >= 1, got %r" % (m,))
+        return super().__new__(cls, (base, residues))
+
+    def __repr__(self):
+        return "ExponentMultiset(base=%r, residues=%r)" % self
 
     @classmethod
     def from_counts(cls, base, counts):

@@ -42,8 +42,6 @@ right-hand side also has a sum over partitions, the walk starts from
 the expanded product (its kernel) instead of from 1.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import product as iter_product
 

@@ -21,12 +21,9 @@ products over k of phi(z^k X) and psi(z^k X, Y) need, is built once
 and spread (_spread).
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .partitions import _packed_product
 from .profiles import (
@@ -42,23 +39,38 @@ from .profiles import (
 )
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
     """Immutable power series truncated inclusively at a fixed order: the
     result of every route, whose coefficients count objects, so none is negative."""
 
-    order: int
-    coeffs: tuple
+    __slots__ = ("order", "coeffs")
 
-    def __post_init__(self):
-        coeffs = tuple(map(int, self.coeffs))
-        if self.order < 0:
+    def __init__(self, order, coeffs):
+        coeffs = tuple(map(int, coeffs))
+        if order < 0:
             raise ValueError("order must be nonnegative")
-        if len(coeffs) != self.order + 1:
-            raise ValueError("need exactly %d coefficients, got %d" % (self.order + 1, len(coeffs)))
+        if len(coeffs) != order + 1:
+            raise ValueError("need exactly %d coefficients, got %d" % (order + 1, len(coeffs)))
         if min(coeffs) < 0:
             raise ValueError("coefficients must be nonnegative")
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("TruncatedSeries is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs  # the order is len(coeffs) - 1
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return "TruncatedSeries(order=%r, coeffs=%r)" % (self.order, self.coeffs)
 
     @classmethod
     def one(cls, order):
@@ -162,21 +174,23 @@ def _phi_spread(exponents, step, order):
     return exps
 
 
-@dataclass(frozen=True)
-class ProductSpec:
-    """A multiset of factors (x, y, mult), each denoting prod_{k>=0} (1-z^{x k+y})^(-mult)."""
+class ProductSpec(tuple):
+    """A multiset of factors (x, y, mult), each denoting prod_{k>=0} (1-z^{x k+y})^(-mult):
+    the record (factors,), factors merged and sorted by (x, y)."""
 
-    factors: tuple
+    __slots__ = ()
+    factors = property(itemgetter(0))
 
-    def __post_init__(self):
+    def __new__(cls, factors):
         merged = {}
-        for x, y, mult in self.factors:
+        for x, y, mult in factors:
             if x < 1 or y < 1 or mult < 1:
                 raise ValueError("factors need modulus, residue and multiplicity >= 1")
             merged[(x, y)] = merged.get((x, y), 0) + mult
-        object.__setattr__(
-            self, "factors", tuple((x, y, m) for (x, y), m in sorted(merged.items()))
-        )
+        return super().__new__(cls, (tuple((x, y, m) for (x, y), m in sorted(merged.items())),))
+
+    def __repr__(self):
+        return "ProductSpec(factors=%r)" % self
 
     @classmethod
     def from_multisets(cls, *multisets):

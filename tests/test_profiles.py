@@ -46,9 +46,13 @@ def test_parse_profile():
     with pytest.raises(ValueError) as err:
         parse_profile("-1,2")
     assert "position 1" in str(err.value)
-    with pytest.raises(ValueError) as err:
-        parse_profile("+x-")
-    assert "position 1" in str(err.value)
+    # the first character that neither notation accepts, not the first
+    # that the '+-' notation rejects
+    for text, message in (("+x-", "'x' at position 1"), ("+,x", "'x' at position 2"),
+                          ("1,-1,x", "'x' at position 5")):
+        with pytest.raises(ValueError) as err:
+            parse_profile(text)
+        assert message in str(err.value)
     with pytest.raises(ValueError):
         Profile((1, 0))
 

@@ -8,7 +8,8 @@ from math import comb
 import pytest
 
 from planeparts import series
-from planeparts.profiles import _positions, parse_profile, profiles_up_to, reverse_negate
+from planeparts.asymptotics import AsymptoticParams
+from planeparts.profiles import ExponentMultiset, _positions, parse_profile, profiles_up_to, reverse_negate
 from planeparts.series import (
     CLASSICAL_KINDS,
     ProductSpec,
@@ -105,9 +106,41 @@ def test_series_construction_and_identity():
 
 
 def test_series_immutable():
-    s = TruncatedSeries.one(2)
+    # the four records: frozen, equal by value, built by position or keyword
+    records = [
+        (TruncatedSeries(2, [1, 0, 0]), TruncatedSeries(order=2, coeffs=(1, 0, 0))),
+        (ProductSpec(((2, 1, 1), (2, 1, 1))), ProductSpec(factors=((2, 1, 2),))),
+        (ExponentMultiset(3, ((1, 2),)), ExponentMultiset(base=3, residues=((1, 2),))),
+        (AsymptoticParams(-1.5, 2.0, 0.25, 0.5), AsymptoticParams(log_v=-1.5, r=2.0, b=0.25, p=0.5)),
+    ]
+    for a, b in records:
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert eval(repr(a)) == a
+        for name in ("order", "coeffs", "factors", "base", "residues", "log_v", "r", "b", "p", "x"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 5)
+    assert TruncatedSeries.one(2) == records[0][0] != TruncatedSeries.one(3)
+    assert TruncatedSeries.one(2) != (2, (1, 0, 0))
+    assert ProductSpec(()) != ProductSpec(((1, 1, 1),))
+    assert ExponentMultiset(3, ((1, 2),)) != ExponentMultiset(4, ((1, 2),))
+    assert AsymptoticParams(0.0, 1.0, 0.0, 0.5) != AsymptoticParams(0.0, 1.0, 0.25, 0.5)
+    s = records[0][0]
     with pytest.raises(AttributeError):
-        s.order = 5
+        del s.order
+    assert s.order == 2 and s.coeffs == (1, 0, 0)
+    for bad in (
+        lambda: TruncatedSeries(-1, ()),
+        lambda: TruncatedSeries(2, (1, 0)),
+        lambda: TruncatedSeries(1, (1, -1)),
+        lambda: ProductSpec(((1, 1, 0),)),
+        lambda: ExponentMultiset(0, ()),
+        lambda: ExponentMultiset(2, ((0, 1),)),
+        lambda: ExponentMultiset(2, ((1, 0),)),
+        lambda: AsymptoticParams(0.0, 0.0, 0.0, 0.5),
+        lambda: AsymptoticParams(0.0, 1.0, 0.0, 1.0),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_expand_product_examples():
