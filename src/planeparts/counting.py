@@ -41,12 +41,13 @@ FILLING_ORDER_BOUND = 8
 # P(order) * (order + 1) * W/8 for the packed state vectors (one vector
 # per partition of size <= order; W from partitions._width).  It is the
 # only proven bound, and walks whose first step weighs the new state
-# hold far less: at the largest orders accepted, dspp "++" at 46
-# (estimate 232 MB) peaks at 23 MB of RSS, "+" at 47 (212 MB) at 40 MB,
-# and cp "+-" at 46 (232 MB) at 71 MB, as partitions._trace holds the
-# states of a whole size class of betas at once.  Chains with no step
-# are counted, not walked, and peak at 15 MB at their largest accepted
-# orders: the empty profile at 51 (229 MB), cp "+" at 47 (212 MB).
+# hold far less: at the largest orders accepted, a count CLI process
+# (its own peak RSS, VmHWM) running dspp "++" at 46 (estimate 232 MB)
+# peaks at 22 MB, "+" at 47 (212 MB) at 39 MB, and cp "+-" at 46
+# (232 MB) at 65 MB, as partitions._trace holds the states of a whole
+# size class of betas at once.  Chains with no step are counted, not
+# walked, and peak at 16 MB at their largest accepted orders: the empty
+# profile at 51 (229 MB), cp "+" at 47 (212 MB).
 VECTOR_BUDGET = 256 << 20
 
 
@@ -70,7 +71,7 @@ def _guard(steps, order):
     budget, without counting the partitions of its own size.
     """
     for n in range(order + 1):
-        if sum(_partition_counts(n)) * (n + 1) * _width(1, n, len(steps)) // 8 > VECTOR_BUDGET:
+        if sum(_partition_counts(n)) * (n + 1) * _width(n, len(steps)) // 8 > VECTOR_BUDGET:
             raise ValueError(
                 "order %d needs more than the %d MB of state vectors the counting "
                 "oracles allow for a profile of length %d" % (order, VECTOR_BUDGET >> 20, len(steps))

@@ -18,21 +18,21 @@ size, its first part and its partner tables in both directions, so
 every partner value is one shared object.  The partners, and the
 down-starts of _live_starts, are plain tuples, which the garbage
 collector untracks.  A chain is a list of (up, a, m) steps; _strip_step
-moves a map from state ids to truncated coefficient vectors across one
-of them, turning the order into a window of sizes and reading the
-partners of each state in that window, in either direction, off the
-state's partner table: its partners' ids graded by size, one entry per
-size bucket of the one enumerator, _strips, grown only as far as some
-step has asked (_grow).  The window charges the move and the least the
-rest of the chain must still pay from the new state (_ahead), so only
-states that can still end within the order are made.  _walk numbers its
-starts and takes a chain's steps in turn, told once how it will be
-read, and returns that read: the vector at one target partition, or the
-sum over its end states with an end weight.  _trace sums a chain over
-its closed walks, lam^0 = lam^h, each walk targeted at its own start;
-the starts of one size share that target size, so they walk together,
-one transfer per size class, each state keyed by its id in the low
-_ID_BITS bits and its start's index in the class above them.
+moves a list of maps from state ids to truncated coefficient vectors
+across one of them, each map as if alone, turning the order into a
+window of sizes and reading the partners of each state in that window,
+in either direction, off the state's partner table: its partners' ids
+graded by size, one entry per size bucket of the one enumerator,
+_strips, grown only as far as some step has asked (_grow).  The window
+charges the move and the least the rest of the chain must still pay
+from the new state (_ahead), so only states that can still end within
+the order are made.  _walk numbers its starts and takes a chain's steps
+in turn, told once how it will be read, and returns that read: the
+vector at one target partition, or the sum over its end states with an
+end weight.  _trace sums a chain over its closed walks, lam^0 = lam^h,
+each walk targeted at its own start; the starts of one size share that
+target size, so they walk together, one transfer per size class with
+one map per start, and each map closes against its own start.
 _live_starts reads off the first step's window, with the lookahead's
 charge, the starts that step can move at all: _trace's betas, and the
 counting oracles' open starts.  The counting oracles and both sides of
@@ -198,21 +198,14 @@ _firsts = []
 # per direction, down then up, per id: the partner table, () until a
 # step asks for it
 _tables = ([], [])
-# a transfer key holds an id in its low _ID_BITS bits; _trace keeps the
-# index of a walk's beta in the bits above
-_ID_BITS = 32
-_ID_MASK = (1 << _ID_BITS) - 1
-_ID_LIMIT = 1 << _ID_BITS
 
 
 def _number(lams):
     """The ids of lams, a sequence of distinct partitions, numbering each
-    one the registry has not met yet.  Raises OverflowError rather than
-    pass _ID_LIMIT ids, so that no id spills into a key's high bits."""
+    one the registry has not met yet.  The partner tables hold these
+    same int objects, and so every map keyed by them does."""
     fresh = [lam for lam in lams if lam not in _ids]
     n = len(_parts)
-    if n + len(fresh) > _ID_LIMIT:
-        raise OverflowError("the transfer numbers at most %d partitions" % _ID_LIMIT)
     _ids.update(zip(fresh, range(n, n + len(fresh))))
     _parts.extend(fresh)
     _sizes.extend(map(sum, fresh))
@@ -255,20 +248,19 @@ def _partition_counts(n):
     return tuple(p)
 
 
-def _width(top, size, nsteps):
+def _width(size, nsteps):
     """Slot bits, in whole bytes, that hold every coefficient of a walk.
 
-    The walk takes nsteps steps from start coefficients of at most top,
-    and every state it reaches has size <= size.  A step lists each lam
+    The walk takes nsteps steps from starts z^d, coefficients 1, and
+    every state it reaches has size <= size.  A step lists each lam
     at most once per state mu, so it multiplies the largest coefficient
     by at most P(size), the number of partitions of size <= size.  A
     final sum over states is one factor more: an open walk's end sum,
     or for a trace, whose closing counts as a step, the sum over every
-    beta.  So every value the walk holds is at most
-    top * P(size)^(nsteps+1), and one bit more keeps a slot from ever
-    filling.
+    beta.  So every value the walk holds is at most P(size)^(nsteps+1),
+    and one bit more keeps a slot from ever filling.
     """
-    bits = (top * sum(_partition_counts(size)) ** (nsteps + 1)).bit_length() + 1
+    bits = (sum(_partition_counts(size)) ** (nsteps + 1)).bit_length() + 1
     return -(-bits // 8) * 8
 
 
@@ -348,16 +340,15 @@ def _ahead(steps, end):
     return out
 
 
-def _strip_step(dist, up, order, a, m, width, cap=None, ahead=(0, None, None), goal=None):
+def _strip_step(dists, up, order, a, m, width, cap=None, ahead=(0, None, None), goal=None):
     """One single-letter horizontal-strip step of a transfer over partitions.
 
-    dist maps the key of each state mu to its packed vector, truncated
-    at order, and so does the map returned.  A key holds mu's id in its
-    low _ID_BITS bits and a tag in the bits above, which every move
-    keeps: lam's key is lam's id plus mu's tag.  An open walk's tags are
-    all 0, so its keys are bare ids; _trace tags each state with the
-    index of its beta within a size class.  Every mu moves to each lam
-    with mu ≺ lam (up) or lam ≺ mu (down), and the move multiplies by
+    dists is a list of maps, each from the id of a state mu to its
+    packed vector, truncated at order; the moved maps are returned in
+    the same order, each moved as if it were alone.  An open walk moves
+    one map; _trace moves one per beta of a size class, and the window
+    lines below serve them all.  Every mu moves to each lam with mu ≺
+    lam (up) or lam ≺ mu (down), and the move multiplies by
     z^(a*|strip| + m*|lam|).  Up moves keep |lam| <= cap when a cap is
     given.  ahead is _ahead's bound on the rest of the chain for this
     step, and goal the size the chain must end at, if any.  The move's
@@ -388,52 +379,52 @@ def _strip_step(dist, up, order, a, m, width, cap=None, ahead=(0, None, None), g
             lines.append((k + d, -d * goal))
     full = (1 << (order + 1) * width) - 1
     stride = k * width
-    ndist = {}
-    get = ndist.get
-    sizes, firsts, tables, mask = _sizes, _firsts, _tables[up], _ID_MASK
-    for key, v in dist.items():
-        if not v:
-            continue
-        mu = key & mask
-        tag = key - mu
-        budget = order - ((v & -v).bit_length() - 1) // width
-        size = sizes[mu]
-        if up:
-            least = lo = size
-            hi = size + budget
-            base = -a * size
-        else:
-            # |lam| >= |mu| - mu_1 for every lam ≺ mu, where the table starts
-            least = lo = size - firsts[mu]
-            hi = size
-            base = a * size
-        room = budget - base
-        for c, e in lines:
-            if c > 0:
-                if (room - e) // c < hi:
-                    hi = (room - e) // c
-            elif c:
-                if -((room - e) // -c) > lo:
-                    lo = -((room - e) // -c)
-            elif room < e:
-                hi = -1
-        if lo < lo_at:
-            lo = lo_at
-        if hi_at is not None and hi > hi_at:
-            hi = hi_at
-        if lo > hi:  # no move fits; asking would only grow the table
-            continue
-        table = tables[mu]
-        if len(table) <= hi - least:
-            table = _grow(mu, up, least, hi)
-        shift = (base + k * lo) * width
-        for group in table[lo - least : hi - least + 1]:
-            w = (v << shift) & full
-            for lam in group:
-                lam += tag
-                ndist[lam] = get(lam, 0) + w
-            shift += stride
-    return ndist
+    out = []
+    sizes, firsts, tables = _sizes, _firsts, _tables[up]
+    for dist in dists:
+        ndist = {}
+        out.append(ndist)
+        get = ndist.get
+        for mu, v in dist.items():
+            if not v:
+                continue
+            budget = order - ((v & -v).bit_length() - 1) // width
+            size = sizes[mu]
+            if up:
+                least = lo = size
+                hi = size + budget
+                base = -a * size
+            else:
+                # |lam| >= |mu| - mu_1 for every lam ≺ mu, where the table starts
+                least = lo = size - firsts[mu]
+                hi = size
+                base = a * size
+            room = budget - base
+            for c, e in lines:
+                if c > 0:
+                    if (room - e) // c < hi:
+                        hi = (room - e) // c
+                elif c:
+                    if -((room - e) // -c) > lo:
+                        lo = -((room - e) // -c)
+                elif room < e:
+                    hi = -1
+            if lo < lo_at:
+                lo = lo_at
+            if hi_at is not None and hi > hi_at:
+                hi = hi_at
+            if lo > hi:  # no move fits; asking would only grow the table
+                continue
+            table = tables[mu]
+            if len(table) <= hi - least:
+                table = _grow(mu, up, least, hi)
+            shift = (base + k * lo) * width
+            for group in table[lo - least : hi - least + 1]:
+                w = (v << shift) & full
+                for lam in group:
+                    ndist[lam] = get(lam, 0) + w
+                shift += stride
+    return out
 
 
 def _live_starts(steps, order):
@@ -463,12 +454,14 @@ def _live_starts(steps, order):
     return starts
 
 
-def _walk(starts, steps, order, cap=None, kernel=None, target=None, end=0):
+def _walk(starts, steps, order, cap=None, target=None, end=0):
     """Take each (up, a, m) step of a chain in turn; up steps keep |lam| <= cap.
 
-    starts maps each start state to its degree d; it starts at z^d, times
-    the kernel (a coefficient list, nonnegative) when one is given.  An
-    up step costs at least its strip and no weight is negative, so every
+    starts maps each start state to its degree d; it starts at z^d, and
+    the walk moves its one map of states through _strip_step.  The walk
+    is linear in its starts, so a side that starts from a product (a
+    kernel in schur) multiplies the read by it afterwards.  An up step
+    costs at least its strip and no weight is negative, so every
     state has size <= max start size + order, or <= the cap.  The walk
     is told how it will be read, and returns that read: the vector of
     the partition target when one is given (zeros for a partition it
@@ -478,13 +471,13 @@ def _walk(starts, steps, order, cap=None, kernel=None, target=None, end=0):
     """
     biggest = max(map(sum, starts))
     size = biggest + order if cap is None else min(biggest + order, max(biggest, cap))
-    width = _width(max(kernel) if kernel else 1, size, len(steps))
-    unit = _pack(kernel, width) if kernel else 1
+    width = _width(size, len(steps))
     full = (1 << (order + 1) * width) - 1
-    dist = {k: (unit << d * width) & full for k, d in zip(_number(starts), starts.values())}
+    dists = [{k: (1 << d * width) & full for k, d in zip(_number(starts), starts.values())}]
     goal = None if target is None else sum(target)
     for (up, a, m), ahead in zip(steps, _ahead(steps, end)):
-        dist = _strip_step(dist, up, order, a, m, width, cap, ahead, goal)
+        dists = _strip_step(dists, up, order, a, m, width, cap, ahead, goal)
+    dist = dists[0]
     if target is not None:
         return _unpack(dist.get(_ids.get(target), 0), width, order)
     sizes = _sizes
@@ -507,9 +500,8 @@ def _trace(steps, order):
     are summed packed.
 
     The betas of one size share that bound, so they walk together, one
-    _strip_step per body step for the whole size class: a state's key
-    holds its id in the low _ID_BITS bits and the index of its beta in
-    the class above them, and the closing test reads both back.
+    _strip_step per body step for the whole size class: each beta keeps
+    its own map of states, and each map closes against its own beta.
 
     The betas are the chain's _live_starts: no other beta survives the
     first step, the closing one when there is no other (a lone closing
@@ -517,21 +509,22 @@ def _trace(steps, order):
     """
     steps = steps or [(True, 0, 0)]
     *body, (up, a, m) = steps
-    width = _width(1, order, len(steps))
+    width = _width(order, len(steps))
     full = (1 << (order + 1) * width) - 1
     total = 0
     aheads = _ahead(steps, 0)
-    parts, bits, mask, test = _parts, _ID_BITS, _ID_MASK, is_horizontal_strip
+    parts, sizes, test = _parts, _sizes, is_horizontal_strip
     classes = {}
     for beta, size in _live_starts(steps, order).items():
         classes.setdefault(size, []).append(beta)
     for size, betas in classes.items():
         start = 1 << size * width
-        dist = {j << bits | i: start for j, i in enumerate(_number(betas))}
+        dists = [{i: start} for i in _number(betas)]
         for (b_up, b_a, b_m), ahead in zip(body, aheads):
-            dist = _strip_step(dist, b_up, order, b_a, b_m, width, None, ahead, size)
-        for key, v in dist.items():
-            beta, mu = betas[key >> bits], parts[key & mask]
-            if test(beta, mu) if up else test(mu, beta):
-                total += (v << (a * abs(size - sum(mu)) + m * size) * width) & full
+            dists = _strip_step(dists, b_up, order, b_a, b_m, width, None, ahead, size)
+        for beta, dist in zip(betas, dists):
+            for i, v in dist.items():
+                mu = parts[i]
+                if test(beta, mu) if up else test(mu, beta):
+                    total += (v << (a * abs(size - sizes[i]) + m * size) * width) & full
     return _unpack(total, width, order)

@@ -16,15 +16,15 @@ as well.  A walk starts at one partition or at all of them, each at a
 power of z, moves through the steps, and is read at one partition or
 summed with an end weight; partitions._walk is told which, once, and
 returns that read, making only the states that can still end there
-within the order.  partitions keeps its truncated coefficient vectors
-as ints with W-bit slots, W proven per walk from the chain's length,
-the order and the largest start coefficient; this module passes start
-degrees and kernel lists and reads back lists.  The cylindric left side closes the chain,
-lam^0 = lam^h, and is a trace, partitions._trace.  The lemmas and the
-textbook identities p93A and p94A are instances of the three summation
-formulas; only p93B has walks of its own.  All substituted exponents
-are >= 1, so every step costs at least its size change, which bounds
-the reachable states and makes the truncated sums finite.
+within the order.  partitions keeps its truncated coefficient vectors as
+ints with W-bit slots, W proven per walk from the chain's length and the
+order; this module passes start degrees and reads back lists.  The
+cylindric left side closes the chain, lam^0 = lam^h, and is a trace,
+partitions._trace.  The lemmas and the textbook identities p93A and p94A
+are instances of the three summation formulas; only p93B has walks of
+its own.  All substituted exponents are >= 1, so every step costs at
+least its size change, which bounds the reachable states and makes the
+truncated sums finite.
 
 The products on the right-hand sides are assembled from the two kernels
 
@@ -38,14 +38,15 @@ functions use, series._expand.  phi's pair sums are one packed square
 products over k >= 1 of phi(z^k X) and psi(z^k X, Y) build the map at
 k = 1 once and spread it (series._phi_spread, series._spread), phi's
 pair sums in steps of 2, everything else in steps of 1.  Where a
-right-hand side also has a sum over partitions, the walk starts from
-the expanded product (its kernel) instead of from 1.
+right-hand side also has a sum over partitions, its walk starts from 1
+and the expanded product (its kernel) multiplies the read afterwards,
+one partitions._packed_product: the walk is linear in its start.
 """
 
 from collections import Counter
 from itertools import product as iter_product
 
-from .partitions import EMPTY, Partition, _trace, _walk, partitions_up_to
+from .partitions import EMPTY, Partition, _packed_product, _trace, _walk, partitions_up_to
 from .profiles import Profile, all_profiles
 from .series import TruncatedSeries, _expand, _phi, _phi_spread, _psi, _spread
 
@@ -189,7 +190,8 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
         # rhs: psi pairs times sum_gamma s_{lam0/gamma}(X) s_{lamh/gamma}(Y)
         kernel = _expand(pair, order)
         lam0, lamh = (EMPTY, EMPTY) if endpoints is None else map(Partition, endpoints)
-        rhs = _walk({lam0: 0}, _zigzag((x_all,), (y_all,)), order, lamh.size, kernel, lamh)
+        walk = _walk({lam0: 0}, _zigzag((x_all,), (y_all,)), order, lamh.size, lamh)
+        rhs = _packed_product(kernel, walk, 0, order + 1)
         lhs = _walk({lam0: 0}, _zigzag(x_alphas, y_alphas), order, target=lamh)
         params["endpoints"] = [list(lam0), list(lamh)]
         return IdentityReport("open", params, order, lhs, rhs)
@@ -281,7 +283,7 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
         nu = Partition(nu)
         kernel = _expand(_phi(x_alpha, order), order)
         lhs = _walk({nu: 0}, _letters(True, x_alpha), order)
-        rhs = _walk({nu: 0}, _letters(False, x_alpha), order, kernel=kernel)
+        rhs = _packed_product(kernel, _walk({nu: 0}, _letters(False, x_alpha), order), 0, order + 1)
         params = {"x_alphabet": list(x_alpha), "nu": list(nu)}
         return IdentityReport("p93B", params, order, lhs, rhs)
 

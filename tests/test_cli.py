@@ -189,10 +189,12 @@ def test_verify_exit_codes_and_fault_injection():
 
 
 CLI_CHILD = "import sys; from planeparts.cli import main; sys.exit(main())"
-# the same, printing the child's peak RSS in kB as its last stderr line
+# the same, printing the child's peak RSS in kB (VmHWM, its own high-water
+# mark; ru_maxrss would start from the spawner's peak) as its last stderr line
 PEAK_CHILD = (
-    "import resource, sys; from planeparts.cli import main; code = main(); "
-    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(code)"
+    "import sys; from planeparts.cli import main; code = main(); "
+    "print([l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')][0], "
+    "file=sys.stderr); sys.exit(code)"
 )
 
 
@@ -238,9 +240,12 @@ def test_stepless_counts_run_to_their_guard_under_a_memory_limit():
 def test_guard_estimate_is_above_the_peak(monkeypatch):
     # a count accepted by the guard peaks below the guard's estimate: with
     # the budget lowered to a fresh child's peak RSS at that order, the
-    # guard refuses the order
-    for profile, order, steps in (("++", 46, counting._steps((1, 1), 1)), ("", 51, [])):
-        argv = ["count", "--family", "dspp", "--profile=" + profile, "--order", str(order)]
+    # guard refuses the order; cp "+-" walks a whole size class of betas
+    # at once
+    cases = (("dspp", "++", 46, counting._steps((1, 1), 1)), ("dspp", "", 51, []),
+             ("cp", "+-", 40, counting._steps((1,), 1) + [(False, 0, 0)]))
+    for family, profile, order, steps in cases:
+        argv = ["count", "--family", family, "--profile=" + profile, "--order", str(order)]
         proc, _ = run_limited(argv, PEAK_CHILD)
         assert proc.returncode == 0, proc.stderr
         peak = int(proc.stderr.split()[-1]) << 10

@@ -23,8 +23,7 @@ from planeparts.partitions import (
     partitions_of,
     partitions_up_to,
 )
-from planeparts.schur import _letters, _pair_exponents, _zigzag, skew_schur_z
-from planeparts.series import _expand, _phi
+from planeparts.schur import _letters, _zigzag, skew_schur_z
 
 
 def brute_partitions(n, cap=None):
@@ -315,7 +314,7 @@ def test_strip_step_equals_reference_step():
         for up in (True, False):
             for cap in (None, 3):
                 packed = {i: _pack(vec, width) for i, vec in zip(_number(dist), dist.values())}
-                got = _strip_step(packed, up, order, a, m, width, cap)
+                got = _strip_step([packed], up, order, a, m, width, cap)[0]
                 got = {partitions._parts[i]: _unpack(v, width, order) for i, v in got.items()}
                 assert got == reference_step(dist, up, order, a, m, cap), (a, m, up, cap)
 
@@ -329,8 +328,8 @@ def test_live_starts_are_the_movable_starts():
             for a, m in ((0, 1), (0, 2), (1, 0), (2, 0)):
                 live = _live_starts([(up, a, m)], order)
                 moved = [lam for lam in everything
-                         if _strip_step({_number([lam])[0]: 1 << lam.size * width}, up, order,
-                                        a, m, width)]
+                         if _strip_step([{_number([lam])[0]: 1 << lam.size * width}], up, order,
+                                        a, m, width)[0]]
                 assert set(live) == set(moved), (order, up, a, m)
                 assert all(s == sum(lam) and Partition(lam) == lam
                            for lam, s in live.items())
@@ -385,14 +384,12 @@ def test_trace_equals_reference_trace():
             assert _trace(steps, order) == reference_trace(steps, order), (order, steps)
 
 
-def reference_walk(starts, steps, order, cap=None, kernel=None):
-    """The maps of a walk of reference steps from starts (state -> degree,
-    times the kernel), the start map first.  Each step takes a state's
-    partners from _strips, checked against the filter oracle above,
-    since every partition up to twice the order would be too many
-    candidates."""
-    unit = list(kernel or [1])
-    dist = {lam: ([0] * d + unit + [0] * order)[: order + 1] for lam, d in starts.items()}
+def reference_walk(starts, steps, order, cap=None):
+    """The maps of a walk of reference steps from starts (state ->
+    degree), the start map first.  Each step takes a state's partners
+    from _strips, checked against the filter oracle above, since every
+    partition up to twice the order would be too many candidates."""
+    dist = {lam: ([0] * d + [1] + [0] * order)[: order + 1] for lam, d in starts.items()}
     out = [dist]
 
     def candidates(mu, up):
@@ -406,21 +403,21 @@ def reference_walk(starts, steps, order, cap=None, kernel=None):
     return out
 
 
-def packed_against_lists(starts, steps, order, cap=None, kernel=None, m=0):
-    """Walk starts (state -> degree, times the kernel) packed and as lists
-    of reference steps, compare each end state, read as the walk's
-    target, and the final sum weighted z^(m*|lam|), read with end weight
-    m, and return the largest coefficient the lists reached."""
-    maps = reference_walk(starts, steps, order, cap, kernel)
+def packed_against_lists(starts, steps, order, cap=None, m=0):
+    """Walk starts (state -> degree) packed and as lists of reference
+    steps, compare each end state, read as the walk's target, and the
+    final sum weighted z^(m*|lam|), read with end weight m, and return
+    the largest coefficient the lists reached."""
+    maps = reference_walk(starts, steps, order, cap)
     dist = maps[-1]
     top = max(max(vec) for states in maps for vec in states.values())
     for lam, vec in dist.items():
-        assert _walk(starts, steps, order, cap, kernel, target=lam) == vec, lam
+        assert _walk(starts, steps, order, cap, target=lam) == vec, lam
     total = [0] * (order + 1)
     for lam, vec in dist.items():
         for d in range(m * sum(lam), order + 1):
             total[d] += vec[d - m * sum(lam)]
-    assert _walk(starts, steps, order, cap, kernel, end=m) == total
+    assert _walk(starts, steps, order, cap, end=m) == total
     return max([top] + total)
 
 
@@ -429,21 +426,19 @@ def test_width_holds_the_worst_cases(monkeypatch):
     two = ((1, 2), (1, 2))
     chain = _zigzag(two, two)
     cases = [
-        # the largest start coefficients: the open right-hand side's psi
-        # pairs over two-letter alphabets, and p93B's kernel phi((1, 2))
-        ({Partition((1,)): 0}, _zigzag(((1, 2, 1, 2),), ((1, 2, 1, 2),)), order, 1,
-         _expand(_pair_exponents(two, two, order), order), 0),
-        ({Partition((2, 1)): 0}, _letters(False, (1, 2)), order, None,
-         _expand(_phi((1, 2), order), order), 0),
+        # the walks whose sides the kernels multiply afterwards: the open
+        # right-hand side over two-letter alphabets, and p93B's with phi((1, 2))
+        ({Partition((1,)): 0}, _zigzag(((1, 2, 1, 2),), ((1, 2, 1, 2),)), order, 1, 0),
+        ({Partition((2, 1)): 0}, _letters(False, (1, 2)), order, None, 0),
         # the longest battery chain, four diagonals of two letters each
         # (profile -+-+), as the complete left side: every start, summed
         # weighted z^|lam|
-        ({lam: 0 for lam in partitions_up_to(order)}, chain, order, order, None, 1),
+        ({lam: 0 for lam in partitions_up_to(order)}, chain, order, order, 1),
     ]
     # the counting oracles' longest walks in the benchmark
     for m in (1, 2):
         cases.append(({lam: lam.size for lam in partitions_up_to(21)}, _steps((1, -1, 1), m),
-                      21, 21, None, 0))
+                      21, 21, 0))
     # every walk of one case is given the same width, and it is read
     # off partitions._width as _walk asks for it
     widths = []
@@ -453,9 +448,9 @@ def test_width_holds_the_worst_cases(monkeypatch):
         return widths[-1]
 
     monkeypatch.setattr(partitions, "_width", spied)
-    for starts, steps, n, cap, kernel, m in cases:
+    for starts, steps, n, cap, m in cases:
         widths.clear()
-        top = packed_against_lists(starts, steps, n, cap, kernel, m)
+        top = packed_against_lists(starts, steps, n, cap, m)
         width = widths[0]
         assert widths == [width] * len(widths), (steps, widths)
         assert 0 < top < 1 << (width - 1), (steps, width, top)
@@ -463,7 +458,7 @@ def test_width_holds_the_worst_cases(monkeypatch):
     # brute-force trace takes ten times longer at order 10)
     got = _trace(chain, 8)
     assert got == reference_trace(chain, 8)
-    assert max(got) < 1 << (_width(1, 8, len(chain)) - 1)
+    assert max(got) < 1 << (_width(8, len(chain)) - 1)
 
 
 def test_random_chains_equal_the_references(monkeypatch):
@@ -538,7 +533,7 @@ def test_lookahead_keeps_only_states_that_can_end(monkeypatch):
 
     def counted(*args):
         out = step(*args)
-        kept.append(len(out))
+        kept.append(len(out[0]))
         return out
 
     monkeypatch.setattr(partitions, "_strip_step", counted)
@@ -563,8 +558,8 @@ def test_live_starts_are_the_first_moves_with_the_lookahead():
         steps = [(rng.random() < 0.5,) + rng.choice(weights) for _ in range(rng.randint(2, 4))]
         (up, a, m), ahead = steps[0], _ahead(steps, 0)[0]
         moved = [lam for lam in partitions_up_to(order)
-                 if _strip_step({_number([lam])[0]: 1 << lam.size * width}, up, order,
-                                a, m, width, None, ahead)]
+                 if _strip_step([{_number([lam])[0]: 1 << lam.size * width}], up, order,
+                                a, m, width, None, ahead)[0]]
         live = _live_starts(steps, order)
         assert set(live) == set(moved), (order, steps)
         assert all(s == sum(lam) for lam, s in live.items())
@@ -585,48 +580,37 @@ def test_live_starts_charge_the_lookahead():
     assert sum(1 for lam in partitions_up_to(22)) == 4508
 
 
-def test_strip_step_keeps_each_key_tag():
-    # a key's bits above _ID_BITS ride along every move: one step of a
-    # map of tagged states is the union of the steps of each tag's
-    # states alone, tagged again
+def test_strip_step_moves_each_map_alone():
+    # one call on several maps returns, in order, each map moved alone:
+    # both directions, a strip and a state weight, with no goal and with
+    # a goal and its lookahead.  Maps may hold the same start with other
+    # vectors, and a partition reached from two maps stays in both,
+    # with each map's own vector
     order, width = 6, 16
     ids = _number(partitions_up_to(3))
+    maps = [{i: 1 << (i + j) % 3 * width for i in ids[j % 3 :: 2]} for j in (0, 1, 5)] + [{}]
     for up in (True, False):
         for a, m in ((0, 1), (1, 0)):
-            tagged, alone = {}, []
-            for tag in (0, 1, 5):
-                dist = {i: 1 << (i + tag) % 3 * width for i in ids[tag % 3 :: 2]}
-                alone.append((tag, _strip_step(dist, up, order, a, m, width)))
-                tagged.update({tag << partitions._ID_BITS | i: v for i, v in dist.items()})
-            got = _strip_step(tagged, up, order, a, m, width)
-            expect = {tag << partitions._ID_BITS | i: v for tag, out in alone for i, v in out.items()}
-            assert got == expect, (up, a, m)
-
-
-def test_number_refuses_to_pass_the_id_limit(monkeypatch):
-    # ids must stay below 2^_ID_BITS, where _trace's tags begin; the
-    # limit is shrunk here rather than reached
-    empty_registry(monkeypatch)
-    assert partitions._ID_LIMIT == 1 << partitions._ID_BITS == 1 << 32
-    monkeypatch.setattr(partitions, "_ID_LIMIT", 3)
-    assert _number([(1,), (2,), (3,)]) == [0, 1, 2]
-    with pytest.raises(OverflowError):
-        _number([(1,), (4,)])
-    assert (4,) not in partitions._ids and len(partitions._parts) == 3
-    assert all(len(tables) == 3 for tables in partitions._tables)
-    # partitions met before still have their ids
-    assert _number([(3,), (1,)]) == [2, 0]
+            chain = [(up, a, m), (not up, 1, 1)]
+            for ahead, goal in (((0, None, None), None), (_ahead(chain, 0)[0], 2)):
+                got = _strip_step(maps, up, order, a, m, width, None, ahead, goal)
+                alone = [_strip_step([dist], up, order, a, m, width, None, ahead, goal)[0]
+                         for dist in maps]
+                assert got == alone, (up, a, m, goal)
+                assert got[-1] == {}
+                shared = set(got[0]) & set(got[2])
+                assert shared and any(got[0][i] != got[2][i] for i in shared), (up, a, m, goal)
 
 
 def traced_steps(monkeypatch):
-    """Record (goal, distinct tags going in, states going in, states out) of
-    every _strip_step call."""
+    """Record (goal, maps going in, states going in, states out) of every
+    _strip_step call."""
     calls = []
     step = partitions._strip_step
 
-    def recorded(dist, *args):
-        out = step(dist, *args)
-        calls.append((args[-1], len({k >> partitions._ID_BITS for k in dist}), len(dist), len(out)))
+    def recorded(dists, *args):
+        out = step(dists, *args)
+        calls.append((args[-1], len(dists), sum(map(len, dists)), sum(map(len, out))))
         return out
 
     monkeypatch.setattr(partitions, "_strip_step", recorded)
@@ -651,8 +635,8 @@ def test_batched_traces_equal_the_references(monkeypatch):
         # one _strip_step per body step per size class of betas
         sizes = set(_live_starts(closed, order).values())
         assert len(calls) - before == len(body) * len(sizes), (order, closed)
-    # and a call walks several betas at once
-    assert max(tags for _, tags, _, _ in calls) > 3
+    # and a call walks several betas at once, one map each
+    assert max(maps for _, maps, _, _ in calls) > 3
 
 
 def test_a_size_class_can_die_while_another_closes(monkeypatch):

@@ -105,7 +105,7 @@ def test_pair_alphabet_summation():
     assert r.passed
     r = verify_summation("cylindric", parse_profile("-+"), ((2,), (1, 1)), order=7)
     assert r.passed
-    # the open right side starts its walk from the psi kernel
+    # the open right side multiplies its walk by the psi kernel
     r = verify_summation(
         "open", parse_profile("+-"), ((1, 2), (1,)), endpoints=((2,), (1, 1)), order=8
     )
@@ -150,7 +150,7 @@ def test_macdonald_identities():
     assert verify_macdonald(
         "p93A", x_alpha=(1,), y_alpha=(2,), lam=(1,), mu=(1,), order=8
     ).passed
-    # right sides that start their walk from the kernel, with two letters
+    # right sides that multiply their walk by the kernel, with two letters
     r = verify_macdonald("p93A", x_alpha=(1, 2), y_alpha=(1,), lam=(2,), mu=(1, 1), order=8)
     assert r.passed and any(r.rhs)
     r = verify_macdonald("p93B", x_alpha=(1, 2), nu=(2, 1), order=8)
