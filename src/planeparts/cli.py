@@ -134,7 +134,7 @@ def cmd_asym(args, out):
             raise ValueError("--m must be >= 2")
         delta = parse_profile("-" * (args.m - 1))
     else:
-        delta = parse_profile(args.profile)
+        delta = parse_profile(args.profile or "")
     params = FAMILIES[args.family].params(delta)
     v = params.v if asymptotics.is_normal(params.v) else _exp_text(params.log_v)
     payload = {
@@ -248,8 +248,11 @@ def build_parser():
 
     p_asym = sub.add_parser("asym", help="growth parameters and estimates")
     p_asym.add_argument("--family", required=True, choices=ASYM_FAMILIES)
-    p_asym.add_argument("--profile", default="")
-    p_asym.add_argument("--m", type=int, default=None, help="width m: use the staircase profile of length m-1")
+    # argparse counts a value that is the default object as not given,
+    # so --profile defaults to None: an explicit '' beside --m is refused
+    p_asym_profile = p_asym.add_mutually_exclusive_group()
+    p_asym_profile.add_argument("--profile", default=None)
+    p_asym_profile.add_argument("--m", type=int, default=None, help="width m: use the staircase profile of length m-1")
     p_asym.add_argument("--n", type=int, nargs="*", default=[])
     p_asym.set_defaults(func=cmd_asym)
 

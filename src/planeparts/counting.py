@@ -84,15 +84,16 @@ def _open_chains(delta, order, m):
     step, lam^0 alone, which counts the partitions of each size.
 
     lam^0 ranges over the starts the first step can move, the only ones
-    that add to any count (partitions._live_starts).  A new state costs
-    m*|lam| >= |lam|, so no state outgrows the order: the cap changes
-    no count and only narrows the walk's slot width.
+    that add to any count (partitions._live_starts).  Each starts at
+    z^|lam^0| and a new state costs m*|lam| >= |lam|, so no state
+    outgrows the order, the size the walk proves its slot width for, as
+    _guard charges it.
     """
     steps = _guard(_steps(delta, m), order)
     if not steps:
         return TruncatedSeries(order, _partition_counts(order))
     starts = _live_starts(steps, order)
-    return TruncatedSeries(order, _walk(starts, steps, order, order))
+    return TruncatedSeries(order, _walk(starts, steps, order))
 
 
 def count_dspp(delta, order):

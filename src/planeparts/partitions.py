@@ -28,8 +28,11 @@ charges the move and the least the rest of the chain must still pay
 from the new state (_ahead), so only states that can still end within
 the order are made.  _walk numbers its starts and takes a chain's steps
 in turn, told once how it will be read, and returns that read: the
-vector at one target partition, or the sum over its end states with an
-end weight.  _trace sums a chain over its closed walks, lam^0 = lam^h,
+vector at one target partition, or the sum over its end states.  A walk
+is its starts, its chain and its read: every weight it applies is a
+step's, and every bound it uses follows from those three, given that
+each up step pays at least the cells it adds (a + m >= 1, which every
+caller meets).  _trace sums a chain over its closed walks, lam^0 = lam^h,
 each walk targeted at its own start; the starts of one size share that
 target size, so they walk together, one transfer per size class with
 one map per start, and each map closes against its own start.
@@ -311,23 +314,22 @@ def _packed_product(xs, ys, start, stop):
     return out
 
 
-def _ahead(steps, end):
+def _ahead(steps):
     """Per step of a chain, (p, u, d): what the steps after it must charge.
 
     A state of size t after step i pays at least max(p*t, u*(s-t)⁺ +
-    d*(t-s)⁺) on the rest of the chain and on a final weight
-    z^(end*|lam|), when it must end at size s.  Each of its t cells
-    either stays to the end, paying every later m and then end, or is
-    removed by a later down strip j, paying the m of the steps before j
-    and then a_j; p is the cheaper of those.  To end at s it must still
-    gain s - t cells in up strips, each paying at least u, the least a
-    of the later up steps, or shed t - s in down strips at d each; None
-    when no such step is left, which no state off s survives.  Both
-    terms charge down strips, so they bound the rest by their max, not
-    their sum.
+    d*(t-s)⁺) on the rest of the chain, when it must end at size s.
+    Each of its t cells either stays to the end, paying every later m,
+    or is removed by a later down strip j, paying the m of the steps
+    before j and then a_j; p is the cheaper of those.  To end at s it
+    must still gain s - t cells in up strips, each paying at least u,
+    the least a of the later up steps, or shed t - s in down strips at d
+    each; None when no such step is left, which no state off s survives.
+    Both terms charge down strips, so they bound the rest by their max,
+    not their sum.
     """
     out = []
-    p, u, d = end, None, None
+    p, u, d = 0, None, None
     for up, a, m in reversed(steps):
         out.append((p, u, d))
         if up:
@@ -340,7 +342,7 @@ def _ahead(steps, end):
     return out
 
 
-def _strip_step(dists, up, order, a, m, width, cap=None, ahead=(0, None, None), goal=None):
+def _strip_step(dists, up, order, a, m, width, ahead=(0, None, None), goal=None):
     """One single-letter horizontal-strip step of a transfer over partitions.
 
     dists is a list of maps, each from the id of a state mu to its
@@ -349,13 +351,12 @@ def _strip_step(dists, up, order, a, m, width, cap=None, ahead=(0, None, None), 
     one map; _trace moves one per beta of a size class, and the window
     lines below serve them all.  Every mu moves to each lam with mu ≺
     lam (up) or lam ≺ mu (down), and the move multiplies by
-    z^(a*|strip| + m*|lam|).  Up moves keep |lam| <= cap when a cap is
-    given.  ahead is _ahead's bound on the rest of the chain for this
-    step, and goal the size the chain must end at, if any.  The move's
-    weight is linear in t = |lam| on each side of mu, and the bound on
-    the rest is the max of three lines in t, so the moves whose weight
-    and rest still fit the order have t in one window, cut by each line
-    in closed form, and only they are made.
+    z^(a*|strip| + m*|lam|).  ahead is _ahead's bound on the rest of the
+    chain for this step, and goal the size the chain must end at, if
+    any.  The move's weight is linear in t = |lam| on each side of mu,
+    and the bound on the rest is the max of three lines in t, so the
+    moves whose weight and rest still fit the order have t in one
+    window, cut by each line in closed form, and only they are made.
     The window is a slice of mu's partner table, and all partners of one
     size take the same shift, so v is shifted once per size.
     """
@@ -366,7 +367,7 @@ def _strip_step(dists, up, order, a, m, width, cap=None, ahead=(0, None, None), 
     k = a + m if up else m - a
     p, u, d = ahead
     lines = [(k + p, 0)]
-    lo_at, hi_at = 0, cap if up else None
+    lo_at, hi_at = 0, None
     # a zero u or d adds a line that the p line already implies
     if goal is not None:
         if u is None:
@@ -374,7 +375,7 @@ def _strip_step(dists, up, order, a, m, width, cap=None, ahead=(0, None, None), 
         elif u:
             lines.append((k - u, u * goal))
         if d is None:
-            hi_at = goal if hi_at is None else min(hi_at, goal)
+            hi_at = goal
         elif d:
             lines.append((k + d, -d * goal))
     full = (1 << (order + 1) * width) - 1
@@ -441,7 +442,7 @@ def _live_starts(steps, order):
     move drops lam's first row: lam = (k,) + nu with k >= nu_1 and
     (a+1)k + (c+1)|nu| <= order.
     """
-    (up, a, m), (p, _, _) = steps[0], _ahead(steps, 0)[0]
+    (up, a, m), (p, _, _) = steps[0], _ahead(steps)[0]
     c = m + p
     top = order // (c + 1)
     if up or a >= c:
@@ -454,34 +455,34 @@ def _live_starts(steps, order):
     return starts
 
 
-def _walk(starts, steps, order, cap=None, target=None, end=0):
-    """Take each (up, a, m) step of a chain in turn; up steps keep |lam| <= cap.
+def _walk(starts, steps, order, target=None):
+    """Take each (up, a, m) step of a chain in turn.
 
     starts maps each start state to its degree d; it starts at z^d, and
     the walk moves its one map of states through _strip_step.  The walk
     is linear in its starts, so a side that starts from a product (a
-    kernel in schur) multiplies the read by it afterwards.  An up step
-    costs at least its strip and no weight is negative, so every
-    state has size <= max start size + order, or <= the cap.  The walk
-    is told how it will be read, and returns that read: the vector of
-    the partition target when one is given (zeros for a partition it
-    never met), else the sum over its end states lam of z^(end*|lam|)
-    times their vectors.  Each step keeps only the states that can still
-    end there within the order (_ahead).
+    kernel in schur) multiplies the read by it afterwards.  Every up
+    step must have a + m >= 1: it then pays at least the cells it adds,
+    no weight is negative, and down steps only shed cells, so a state
+    outgrows its start lam at z^d by at most order - d, and every state
+    has size <= order + max(|lam| - d), the size the slots are proven
+    for.  The walk is told how it will be read, and returns that read:
+    the vector of the partition target when one is given (zeros for a
+    partition it never met), else the sum of the vectors of its end
+    states; a weight on the end state, such as z^|lam^h|, is its last
+    step's m.  Each step keeps only the states that can still end there
+    within the order (_ahead).
     """
-    biggest = max(map(sum, starts))
-    size = biggest + order if cap is None else min(biggest + order, max(biggest, cap))
-    width = _width(size, len(steps))
+    width = _width(order + max(sum(lam) - d for lam, d in starts.items()), len(steps))
     full = (1 << (order + 1) * width) - 1
     dists = [{k: (1 << d * width) & full for k, d in zip(_number(starts), starts.values())}]
     goal = None if target is None else sum(target)
-    for (up, a, m), ahead in zip(steps, _ahead(steps, end)):
-        dists = _strip_step(dists, up, order, a, m, width, cap, ahead, goal)
+    for (up, a, m), ahead in zip(steps, _ahead(steps)):
+        dists = _strip_step(dists, up, order, a, m, width, ahead, goal)
     dist = dists[0]
     if target is not None:
         return _unpack(dist.get(_ids.get(target), 0), width, order)
-    sizes = _sizes
-    return _unpack(sum((v << end * sizes[k] * width) & full for k, v in dist.items()), width, order)
+    return _unpack(sum(dist.values()), width, order)
 
 
 def _trace(steps, order):
@@ -494,10 +495,9 @@ def _trace(steps, order):
     a == m == 0, which _strip_step cannot take; the empty chain is read
     as such a step alone, from beta to itself.  Each body step keeps only
     the states that can still close at beta within the order, the
-    closing step counted among the steps ahead (_ahead, with no end
-    weight: beta was weighed at the start).  Every state has size
-    <= order, and one width serves every beta, so the closing vectors
-    are summed packed.
+    closing step counted among the steps ahead (_ahead).  Every state
+    has size <= order, and one width serves every beta, so the closing
+    vectors are summed packed.
 
     The betas of one size share that bound, so they walk together, one
     _strip_step per body step for the whole size class: each beta keeps
@@ -512,7 +512,7 @@ def _trace(steps, order):
     width = _width(order, len(steps))
     full = (1 << (order + 1) * width) - 1
     total = 0
-    aheads = _ahead(steps, 0)
+    aheads = _ahead(steps)
     parts, sizes, test = _parts, _sizes, is_horizontal_strip
     classes = {}
     for beta, size in _live_starts(steps, order).items():
@@ -521,7 +521,7 @@ def _trace(steps, order):
         start = 1 << size * width
         dists = [{i: start} for i in _number(betas)]
         for (b_up, b_a, b_m), ahead in zip(body, aheads):
-            dists = _strip_step(dists, b_up, order, b_a, b_m, width, None, ahead, size)
+            dists = _strip_step(dists, b_up, order, b_a, b_m, width, ahead, size)
         for beta, dist in zip(betas, dists):
             for i, v in dist.items():
                 mu = parts[i]

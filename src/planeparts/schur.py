@@ -14,17 +14,19 @@ weights its strip by z^(a*|strip|); so a factor in k letters is k steps
 (up, a, 0) of partitions._walk, the transfer the counting oracles use
 as well.  A walk starts at one partition or at all of them, each at a
 power of z, moves through the steps, and is read at one partition or
-summed with an end weight; partitions._walk is told which, once, and
+summed over its end states; partitions._walk is told which, once, and
 returns that read, making only the states that can still end there
-within the order.  partitions keeps its truncated coefficient vectors as
-ints with W-bit slots, W proven per walk from the chain's length and the
-order; this module passes start degrees and reads back lists.  The
-cylindric left side closes the chain, lam^0 = lam^h, and is a trace,
-partitions._trace.  The lemmas and the textbook identities p93A and p94A
-are instances of the three summation formulas; only p93B has walks of
-its own.  All substituted exponents are >= 1, so every step costs at
-least its size change, which bounds the reachable states and makes the
-truncated sums finite.
+within the order.  The complete left side's weight z^|lam^h| is one
+more on its last step's m; with no step at all it sums z^|lam| over
+every lam, the partition numbers.  partitions keeps its truncated
+coefficient vectors as ints with W-bit slots, W proven per walk from
+its starts, the chain's length and the order; this module passes start
+degrees and reads back lists.  The cylindric left side closes the
+chain, lam^0 = lam^h, and is a trace, partitions._trace.  The lemmas
+and the textbook identities p93A and p94A are instances of the three
+summation formulas; only p93B has walks of its own.  All substituted
+exponents are >= 1, so every step costs at least its size change, which
+bounds the reachable states and makes the truncated sums finite.
 
 The products on the right-hand sides are assembled from the two kernels
 
@@ -46,7 +48,8 @@ one partitions._packed_product: the walk is linear in its start.
 from collections import Counter
 from itertools import product as iter_product
 
-from .partitions import EMPTY, Partition, _packed_product, _trace, _walk, partitions_up_to
+from .partitions import (EMPTY, Partition, _packed_product, _partition_counts, _trace, _walk,
+                         partitions_up_to)
 from .profiles import Profile, all_profiles
 from .series import TruncatedSeries, _expand, _phi, _phi_spread, _psi, _spread
 
@@ -81,7 +84,7 @@ def skew_schur_z(lam, mu, alphabet, order):
     mu = Partition(mu)
     alphabet = _normalize_alphabet(alphabet)
     steps = _letters(True, alphabet)
-    return TruncatedSeries(order, _walk({mu: 0}, steps, order, lam.size, target=lam))
+    return TruncatedSeries(order, _walk({mu: 0}, steps, order, target=lam))
 
 
 class IdentityReport:
@@ -176,9 +179,15 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
 
     if which == "complete":
         rhs = _expand(pair + _complete_exponents(x_all, x_all + y_all, order), order)
-        # every chain from every start, times z^|lam^h|
-        starts = dict.fromkeys(partitions_up_to(order), 0)
-        lhs = _walk(starts, _zigzag(x_alphas, y_alphas), order, order, end=1)
+        # every chain from every start, times z^|lam^h|: one more on the
+        # last step's m
+        steps = _zigzag(x_alphas, y_alphas)
+        if steps:
+            up, a, m = steps[-1]
+            steps[-1] = up, a, m + 1
+            lhs = _walk(dict.fromkeys(partitions_up_to(order), 0), steps, order)
+        else:
+            lhs = _partition_counts(order)
         return IdentityReport("complete", params, order, lhs, rhs)
 
     if which == "cylindric":
@@ -190,7 +199,7 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
         # rhs: psi pairs times sum_gamma s_{lam0/gamma}(X) s_{lamh/gamma}(Y)
         kernel = _expand(pair, order)
         lam0, lamh = (EMPTY, EMPTY) if endpoints is None else map(Partition, endpoints)
-        walk = _walk({lam0: 0}, _zigzag((x_all,), (y_all,)), order, lamh.size, lamh)
+        walk = _walk({lam0: 0}, _zigzag((x_all,), (y_all,)), order, target=lamh)
         rhs = _packed_product(kernel, walk, 0, order + 1)
         lhs = _walk({lam0: 0}, _zigzag(x_alphas, y_alphas), order, target=lamh)
         params["endpoints"] = [list(lam0), list(lamh)]
@@ -311,6 +320,14 @@ EXPONENT_CHOICES = (1, 2)
 MAX_BATTERY_CASES = 100_000
 
 
+def _check(verifier, *args, **kwargs):
+    """One battery case: a zero-argument call of the verifier named
+    verifier with these arguments.  It looks the verifier up in this
+    module when it runs, not when it is listed, so a verifier rebound
+    here (by a tracer or a profiler) is the one that runs."""
+    return lambda: globals()[verifier](*args, **kwargs)
+
+
 def battery_cases(max_len=3, order=8):
     """The deterministic list of identity checks, as zero-argument callables
     that each run one check and return its IdentityReport."""
@@ -324,24 +341,15 @@ def battery_cases(max_len=3, order=8):
                 "max_len %d lists more than the %d identity checks the battery allows"
                 % (max_len, MAX_BATTERY_CASES)
             )
-    # Lambdas, not partials: each looks its target up when called, so a
-    # verifier rebound in this module (by a tracer or a profiler) is the one that runs.
     cases = []
     for h in range(1, max_len + 1):
         for delta in all_profiles(h):
             for exps in iter_product(EXPONENT_CHOICES, repeat=h):
                 for which in ("complete", "cylindric"):
-                    cases.append(
-                        (lambda w=which, d=delta, e=exps: verify_summation(w, d, e, order=order))
-                    )
+                    cases.append(_check("verify_summation", which, delta, exps, order=order))
                 for endpoints in OPEN_ENDPOINTS[:2]:
-                    cases.append(
-                        (
-                            lambda d=delta, e=exps, ep=endpoints: verify_summation(
-                                "open", d, e, endpoints=ep, order=order
-                            )
-                        )
-                    )
+                    cases.append(_check("verify_summation", "open", delta, exps,
+                                        endpoints=endpoints, order=order))
     # chains where one step carries both a down and an up alphabet
     two_sided = (
         (((1,),), ((1,),)),
@@ -351,42 +359,24 @@ def battery_cases(max_len=3, order=8):
     )
     for x_alphas, y_alphas in two_sided:
         for which in ("complete", "cylindric"):
-            cases.append(
-                (
-                    lambda w=which, xa=x_alphas, ya=y_alphas: verify_alternating_summation(
-                        w, xa, ya, order=order
-                    )
-                )
-            )
-        cases.append(
-            (
-                lambda xa=x_alphas, ya=y_alphas: verify_alternating_summation(
-                    "open", xa, ya, endpoints=((1,), (1,)), order=order
-                )
-            )
-        )
+            cases.append(_check("verify_alternating_summation", which, x_alphas, y_alphas,
+                                order=order))
+        cases.append(_check("verify_alternating_summation", "open", x_alphas, y_alphas,
+                            endpoints=((1,), (1,)), order=order))
     for alpha in LEMMA_ALPHABETS:
-        cases.append(lambda a=alpha: verify_lemma_s1(a, order=order))
+        cases.append(_check("verify_lemma_s1", alpha, order=order))
     for x_alpha in PAIR_ALPHABETS:
         for y_alpha in PAIR_ALPHABETS:
-            cases.append(lambda xa=x_alpha, ya=y_alpha: verify_lemma_s2(xa, ya, order=order))
-            cases.append(
-                lambda xa=x_alpha, ya=y_alpha: verify_macdonald(
-                    "p94A", x_alpha=xa, y_alpha=ya, order=order
-                )
-            )
+            cases.append(_check("verify_lemma_s2", x_alpha, y_alpha, order=order))
+            cases.append(_check("verify_macdonald", "p94A", x_alpha=x_alpha, y_alpha=y_alpha,
+                                order=order))
     for lam in MACDONALD_OUTER[:3]:
         for mu in MACDONALD_OUTER[:3]:
-            cases.append(
-                lambda l=lam, m=mu: verify_macdonald(
-                    "p93A", x_alpha=(1,), y_alpha=(2,), lam=l, mu=m, order=order
-                )
-            )
+            cases.append(_check("verify_macdonald", "p93A", x_alpha=(1,), y_alpha=(2,), lam=lam,
+                                mu=mu, order=order))
     for nu in MACDONALD_OUTER:
         for x_alpha in ((1,), (1, 2)):
-            cases.append(
-                lambda n=nu, xa=x_alpha: verify_macdonald("p93B", x_alpha=xa, nu=n, order=order)
-            )
+            cases.append(_check("verify_macdonald", "p93B", x_alpha=x_alpha, nu=nu, order=order))
     return cases
 
 

@@ -324,6 +324,12 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli(["gf", "--family", "bogus", "--order", "3"])
     assert exc.value.code == 2
+    # --m names the staircase profile, so a --profile beside it, the
+    # empty one too, would be dropped
+    for profile in ("++", ""):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["asym", "--family", "dspp", "--profile=" + profile, "--m", "3"])
+        assert exc.value.code == 2, profile
 
 
 

@@ -221,8 +221,8 @@ def test_registry_round_trips_ids_sizes_and_tables(monkeypatch):
     # _strips' partners of size least + k
     empty_registry(monkeypatch)
     starts = {lam: 0 for lam in partitions_up_to(5)}
-    _walk(starts, _zigzag(((1, 2),), ((2, 1),)), 8, 8)
-    _walk({lam: lam.size for lam in partitions_up_to(4)}, _steps((1, -1, -1), 1), 12, 12)
+    _walk(starts, _zigzag(((1, 2),), ((2, 1),)), 8)
+    _walk({lam: lam.size for lam in partitions_up_to(4)}, _steps((1, -1, -1), 1), 12)
     parts = partitions._parts
     assert len(parts) > len(starts)
     grown = 0
@@ -280,17 +280,14 @@ def test_partitions_built_once_per_size():
         with pytest.raises(ValueError):
             partitions_of(bad)
 
-def reference_step(dist, up, order, a, m, cap=None, candidates=None):
+def reference_step(dist, up, order, a, m, candidates=None):
     """The strip step by brute force: every partition is a candidate,
     unless candidates(mu) names fewer."""
     largest = max(map(sum, dist), default=0) + order
     out = {}
     for mu, vec in dist.items():
         for lam in partitions_up_to(largest) if candidates is None else candidates(mu):
-            if up:
-                if not is_horizontal_strip(lam, mu) or (cap is not None and sum(lam) > cap):
-                    continue
-            elif not is_horizontal_strip(mu, lam):
+            if not (is_horizontal_strip(lam, mu) if up else is_horizontal_strip(mu, lam)):
                 continue
             w = a * abs(sum(lam) - sum(mu)) + m * sum(lam)
             moved = [0] * w + list(vec[: max(order + 1 - w, 0)])
@@ -312,11 +309,10 @@ def test_strip_step_equals_reference_step():
     width = 16
     for a, m in ((0, 1), (0, 2), (1, 0), (2, 0), (3, 0)):
         for up in (True, False):
-            for cap in (None, 3):
-                packed = {i: _pack(vec, width) for i, vec in zip(_number(dist), dist.values())}
-                got = _strip_step([packed], up, order, a, m, width, cap)[0]
-                got = {partitions._parts[i]: _unpack(v, width, order) for i, v in got.items()}
-                assert got == reference_step(dist, up, order, a, m, cap), (a, m, up, cap)
+            packed = {i: _pack(vec, width) for i, vec in zip(_number(dist), dist.values())}
+            got = _strip_step([packed], up, order, a, m, width)[0]
+            got = {partitions._parts[i]: _unpack(v, width, order) for i, v in got.items()}
+            assert got == reference_step(dist, up, order, a, m), (a, m, up)
 
 
 def test_live_starts_are_the_movable_starts():
@@ -384,7 +380,7 @@ def test_trace_equals_reference_trace():
             assert _trace(steps, order) == reference_trace(steps, order), (order, steps)
 
 
-def reference_walk(starts, steps, order, cap=None):
+def reference_walk(starts, steps, order):
     """The maps of a walk of reference steps from starts (state ->
     degree), the start map first.  Each step takes a state's partners
     from _strips, checked against the filter oracle above, since every
@@ -392,32 +388,43 @@ def reference_walk(starts, steps, order, cap=None):
     dist = {lam: ([0] * d + [1] + [0] * order)[: order + 1] for lam, d in starts.items()}
     out = [dist]
 
-    def candidates(mu, up):
-        # every partner reference_step would keep: going up, to the cap
+    def candidates(mu, up, vec):
+        # every partner reference_step would keep: a move up pays at
+        # least the cells it adds (a + m >= 1), within the budget left
+        # above vec's least degree
         size = sum(mu)
-        return strips(mu, up, 0, size if not up else size + order if cap is None else cap)
+        budget = order - next(d for d, c in enumerate(vec) if c)
+        return strips(mu, up, 0, size + budget if up else size)
 
     for up, a, k in steps:
-        dist = reference_step(dist, up, order, a, k, cap, lambda mu, up=up: candidates(mu, up))
+        dist = reference_step(dist, up, order, a, k,
+                              lambda mu, up=up, dist=dist: candidates(mu, up, dist[mu]))
         out.append(dist)
     return out
 
 
-def packed_against_lists(starts, steps, order, cap=None, m=0):
+def bumped(steps, m):
+    """The chain with m more on its last step's m: its end state weighs
+    z^(m*|lam|) more."""
+    *body, (up, a, k) = steps
+    return body + [(up, a, k + m)]
+
+
+def packed_against_lists(starts, steps, order, m=0):
     """Walk starts (state -> degree) packed and as lists of reference
     steps, compare each end state, read as the walk's target, and the
-    final sum weighted z^(m*|lam|), read with end weight m, and return
-    the largest coefficient the lists reached."""
-    maps = reference_walk(starts, steps, order, cap)
+    final sum weighted z^(m*|lam|), walked with m more on the last step,
+    and return the largest coefficient the lists reached."""
+    maps = reference_walk(starts, steps, order)
     dist = maps[-1]
     top = max(max(vec) for states in maps for vec in states.values())
     for lam, vec in dist.items():
-        assert _walk(starts, steps, order, cap, target=lam) == vec, lam
+        assert _walk(starts, steps, order, target=lam) == vec, lam
     total = [0] * (order + 1)
     for lam, vec in dist.items():
         for d in range(m * sum(lam), order + 1):
             total[d] += vec[d - m * sum(lam)]
-    assert _walk(starts, steps, order, cap, end=m) == total
+    assert _walk(starts, bumped(steps, m), order) == total
     return max([top] + total)
 
 
@@ -428,17 +435,16 @@ def test_width_holds_the_worst_cases(monkeypatch):
     cases = [
         # the walks whose sides the kernels multiply afterwards: the open
         # right-hand side over two-letter alphabets, and p93B's with phi((1, 2))
-        ({Partition((1,)): 0}, _zigzag(((1, 2, 1, 2),), ((1, 2, 1, 2),)), order, 1, 0),
-        ({Partition((2, 1)): 0}, _letters(False, (1, 2)), order, None, 0),
+        ({Partition((1,)): 0}, _zigzag(((1, 2, 1, 2),), ((1, 2, 1, 2),)), order),
+        ({Partition((2, 1)): 0}, _letters(False, (1, 2)), order),
         # the longest battery chain, four diagonals of two letters each
-        # (profile -+-+), as the complete left side: every start, summed
-        # weighted z^|lam|
-        ({lam: 0 for lam in partitions_up_to(order)}, chain, order, order, 1),
+        # (profile -+-+), as the complete left side: every start, weighted
+        # z^|lam| by one more on the last step's m
+        ({lam: 0 for lam in partitions_up_to(order)}, bumped(chain, 1), order),
     ]
     # the counting oracles' longest walks in the benchmark
     for m in (1, 2):
-        cases.append(({lam: lam.size for lam in partitions_up_to(21)}, _steps((1, -1, 1), m),
-                      21, 21, 0))
+        cases.append(({lam: lam.size for lam in partitions_up_to(21)}, _steps((1, -1, 1), m), 21))
     # every walk of one case is given the same width, and it is read
     # off partitions._width as _walk asks for it
     widths = []
@@ -448,9 +454,9 @@ def test_width_holds_the_worst_cases(monkeypatch):
         return widths[-1]
 
     monkeypatch.setattr(partitions, "_width", spied)
-    for starts, steps, n, cap, m in cases:
+    for starts, steps, n in cases:
         widths.clear()
-        top = packed_against_lists(starts, steps, n, cap, m)
+        top = packed_against_lists(starts, steps, n)
         width = widths[0]
         assert widths == [width] * len(widths), (steps, widths)
         assert 0 < top < 1 << (width - 1), (steps, width, top)
@@ -459,6 +465,46 @@ def test_width_holds_the_worst_cases(monkeypatch):
     got = _trace(chain, 8)
     assert got == reference_trace(chain, 8)
     assert max(got) < 1 << (_width(8, len(chain)) - 1)
+
+
+def test_no_state_outgrows_the_size_of_its_width(monkeypatch):
+    # _walk proves its slot width for size order + max(|lam| - d) over its
+    # starts lam at z^d: an up step with a + m >= 1 pays at least the
+    # cells it adds and a down step sheds cells, so a state outgrows its
+    # start by at most order - d.  Random chains in mixed directions,
+    # random start degrees, read summed and at a random target
+    sizes, reached = [], []
+    width, step = partitions._width, partitions._strip_step
+
+    def spied_width(size, nsteps):
+        sizes.append(size)
+        return width(size, nsteps)
+
+    def spied_step(*args):
+        out = step(*args)
+        reached.extend(partitions._sizes[i] for dist in out for i in dist)
+        return out
+
+    monkeypatch.setattr(partitions, "_width", spied_width)
+    monkeypatch.setattr(partitions, "_strip_step", spied_step)
+    rng = random.Random(24)
+    weights = ((0, 1), (0, 2), (1, 0), (2, 0), (1, 1))
+    tight = 0
+    for _ in range(200):
+        order = rng.randrange(12)
+        steps = [(rng.random() < 0.5,) + rng.choice(weights) for _ in range(rng.randint(1, 5))]
+        pool = partitions_up_to(min(order, 6))
+        starts = {lam: rng.randrange(order - lam.size + 1)
+                  for lam in rng.sample(pool, rng.randint(1, min(4, len(pool))))}
+        size = rng.randrange(max(map(sum, starts)) + order + 1)
+        target = rng.choice((None, rng.choice(partitions_of(size))))
+        sizes.clear()
+        reached.clear()
+        _walk(starts, steps, order, target)
+        assert len(sizes) == 1 and max(reached, default=0) <= sizes[0], (order, steps, starts)
+        tight += max(reached, default=0) == sizes[0]
+    # and the bound is met, not only kept
+    assert tight
 
 
 def test_random_chains_equal_the_references(monkeypatch):
@@ -493,8 +539,9 @@ def test_random_chains_equal_the_references(monkeypatch):
 def test_lookahead_reads_equal_the_references(monkeypatch):
     # random chains in mixed directions, weighing strips, states or both,
     # each read the three ways the callers read a walk: at one target
-    # partition below or above the starts (target), summed with end weight
-    # z^|lam| (end), and closed by a step of any weight, zero weight
+    # partition below or above the starts (target), summed weighted
+    # z^|lam| by one more on the last step's m, and closed by a step of
+    # any weight, zero weight
     # included (_trace).  Each read lets the walk drop the states that
     # cannot end there within the order (_ahead), and must lose nothing.
     rng = random.Random(16)
@@ -511,7 +558,7 @@ def test_lookahead_reads_equal_the_references(monkeypatch):
         for lam, vec in ends.items():
             for d in range(sum(lam), order + 1):
                 total[d] += vec[d - sum(lam)]
-        assert _walk(starts, steps, order, end=1) == total, (order, steps)
+        assert _walk(starts, bumped(steps, 1), order) == total, (order, steps)
         # a reached end and a partition of any size up to the largest reachable
         size = rng.randrange(max(map(sum, starts)) + order + 1)
         targets = [rng.choice(partitions_of(size))] + ([rng.choice(sorted(ends))] if ends else [])
@@ -556,10 +603,10 @@ def test_live_starts_are_the_first_moves_with_the_lookahead():
     for _ in range(60):
         order = rng.randrange(15)
         steps = [(rng.random() < 0.5,) + rng.choice(weights) for _ in range(rng.randint(2, 4))]
-        (up, a, m), ahead = steps[0], _ahead(steps, 0)[0]
+        (up, a, m), ahead = steps[0], _ahead(steps)[0]
         moved = [lam for lam in partitions_up_to(order)
                  if _strip_step([{_number([lam])[0]: 1 << lam.size * width}], up, order,
-                                a, m, width, None, ahead)[0]]
+                                a, m, width, ahead)[0]]
         live = _live_starts(steps, order)
         assert set(live) == set(moved), (order, steps)
         assert all(s == sum(lam) for lam, s in live.items())
@@ -592,9 +639,9 @@ def test_strip_step_moves_each_map_alone():
     for up in (True, False):
         for a, m in ((0, 1), (1, 0)):
             chain = [(up, a, m), (not up, 1, 1)]
-            for ahead, goal in (((0, None, None), None), (_ahead(chain, 0)[0], 2)):
-                got = _strip_step(maps, up, order, a, m, width, None, ahead, goal)
-                alone = [_strip_step([dist], up, order, a, m, width, None, ahead, goal)[0]
+            for ahead, goal in (((0, None, None), None), (_ahead(chain)[0], 2)):
+                got = _strip_step(maps, up, order, a, m, width, ahead, goal)
+                alone = [_strip_step([dist], up, order, a, m, width, ahead, goal)[0]
                          for dist in maps]
                 assert got == alone, (up, a, m, goal)
                 assert got[-1] == {}
