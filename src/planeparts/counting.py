@@ -27,27 +27,32 @@ a cp profile of length 1) is not walked: it is lam^0 alone, at
 z^|lam^0|, so it counts the partitions of each size
 (partitions._partition_counts).
 
+Two bijections let a count walk another chain: read backwards, a
+delta-chain is a reverse_negate(delta)-chain, which keeps dspp's sum
+|lam^i|; started elsewhere, a closed chain rotates delta, which keeps
+cp's cyclic sum.  count_dspp and count_cp take the orientation (2 for
+dspp, 2h for cp) with the fewest live starts, delta on a tie: dspp "+-+"
+at 44 has 4,508, "-+-" 3,232 and a quarter of the time.  scp weighs
+lam^0 once and later lam^i twice, which neither map keeps.
+
 count_dspp_fillings is the one genuinely exponential oracle: it fills
 the staircase region cell by cell and exists to pin the diagonal-reading
 correspondence against the filling definition.
 """
 
 from .partitions import _live_starts, _partition_counts, _trace, _walk, _width
-from .profiles import Profile, region_cells
+from .profiles import Profile, region_cells, reverse_negate
 from .series import TruncatedSeries
 
 FILLING_ORDER_BOUND = 8
 # The most bytes a counting walk may hold, estimated before it starts:
-# P(order) * (order + 1) * W/8 for the packed state vectors (one vector
-# per partition of size <= order; W from partitions._width).  It is the
-# only proven bound, and walks whose first step weighs the new state
-# hold far less: at the largest orders accepted, a count CLI process
-# (its own peak RSS, VmHWM) running dspp "++" at 46 (estimate 232 MB)
-# peaks at 22 MB, "+" at 47 (212 MB) at 39 MB, and cp "+-" at 46
-# (232 MB) at 65 MB, as partitions._trace holds the states of a whole
-# size class of betas at once.  Chains with no step are counted, not
-# walked, and peak at 16 MB at their largest accepted orders: the empty
-# profile at 51 (229 MB), cp "+" at 47 (212 MB).
+# P(order) * (order + 1) * W/8 for the packed state vectors (W from
+# partitions._width), the only proven bound.  At the largest orders
+# accepted, a count CLI process peaks (VmHWM) far lower: dspp "++" at 46
+# (estimate 232 MB) at 23 MB, "+" at 47 (212 MB) at 40 MB, "+-+" at 45
+# (237 MB), walked as "-+-", at 21 MB, and cp "+-" at 46 (232 MB) at
+# 65 MB, its trace holding a whole size class of betas at once.  Chains
+# with no step peak at 16 MB: the empty profile at 51, cp "+" at 47.
 VECTOR_BUDGET = 256 << 20
 
 
@@ -79,26 +84,60 @@ def _guard(steps, order):
     return steps
 
 
-def _open_chains(delta, order, m):
-    """lam^0 weighted z^{|lam^0|}, walked through the profile; with no
-    step, lam^0 alone, which counts the partitions of each size.
+def _first_steps(word, m, closed=False):
+    """Per start r of word's chain (r = 0 alone when open), one step
+    (up, 0, m + p) with the chain's live starts: with a = 0, those read
+    only its first letter and _ahead's p, m per up letter after it up to
+    a down one or the end, a closing letter (m = 0) adding none.  One
+    backward pass over the up runs gives every start's in O(h)."""
+    h = len(word)
+    runs, run = [0] * (h + 1), 0  # runs[i]: the up letters from word[i % h] on, cyclically when closed
+    for i in range(2 * h - 1 if closed else h - 1, -1, -1):
+        run = run + 1 if word[i % h] == 1 else 0
+        if i <= h:
+            runs[i] = run
+    return [(word[r] == 1, 0, m * (1 + min(runs[r + 1], h - 1 - closed))) for r in range(h if closed else 1)]
 
-    lam^0 ranges over the starts the first step can move, the only ones
-    that add to any count (partitions._live_starts).  Each starts at
-    z^|lam^0| and a new state costs m*|lam| >= |lam|, so no state
-    outgrows the order, the size the walk proves its slot width for, as
-    _guard charges it.
+
+def _fewest_starts(words, order, m, closed=False):
+    """The word, or when closed the rotation of one, whose chain has the
+    fewest live starts, the first on a tie, with those starts."""
+    seen, best = set(), None
+    for word in words:
+        for r, step in enumerate(_first_steps(word, m, closed)):
+            if step not in seen:  # a repeated step ties with its first, which came first
+                seen.add(step)
+                starts = _live_starts([step], order)
+                if best is None or len(starts) < len(best[2]):
+                    best = word, r, starts
+    word, r, starts = best
+    return word[r:] + word[:r], starts
+
+
+def _open_chains(words, order, m):
+    """lam^0 weighted z^{|lam^0|}, walked through the one of words with
+    the fewest live starts, the first on a tie, lam^0 ranging over those
+    starts, the only ones that add to any count (partitions._live_starts);
+    with no step, lam^0 alone, which counts the partitions of each size.
+    Each starts at z^|lam^0| and a new state costs m*|lam| >= |lam|, so
+    no state outgrows the order, the size the walk proves its slot width
+    for, as _guard charges it.
     """
-    steps = _guard(_steps(delta, m), order)
-    if not steps:
+    if not _guard(words[0], order):  # the guard charges the chain's length alone
         return TruncatedSeries(order, _partition_counts(order))
-    starts = _live_starts(steps, order)
-    return TruncatedSeries(order, _walk(starts, steps, order))
+    word, starts = _fewest_starts(words, order, m)
+    return TruncatedSeries(order, _walk(starts, _steps(word, m), order))
+
+
+def _closed_steps(delta):
+    """A closed chain: m = 1 on every letter but the last, an unweighted closing step."""
+    return _steps(delta[:-1], 1) + [(delta[-1] == 1, 0, 0)]
 
 
 def count_dspp(delta, order):
     """Number of interlacing sequences (lam^0..lam^h) per profile, by total size."""
-    return _open_chains(_parse(delta, order), order, 1)
+    delta = _parse(delta, order)
+    return _open_chains((delta, reverse_negate(delta)), order, 1)
 
 
 def count_cp(delta, order):
@@ -107,16 +146,16 @@ def count_cp(delta, order):
     delta = _parse(delta, order)
     if len(delta) < 1:
         raise ValueError("cylindric profiles need length >= 1")
-    steps = _guard(_steps(delta[:-1], 1) + [(delta[-1] == 1, 0, 0)], order)
-    if len(steps) == 1:  # lam^0 closes with itself alone
+    if len(_guard(delta, order)) == 1:  # lam^0 closes with itself alone
         return TruncatedSeries(order, _partition_counts(order))
-    return TruncatedSeries(order, _trace(steps, order))
+    word, _ = _fewest_starts((delta, reverse_negate(delta)), order, 1, closed=True)
+    return TruncatedSeries(order, _trace(_closed_steps(word), order))
 
 
 def count_scp(delta, order):
     """Number of symmetric cylindric partitions by size: half-sequences
     interlacing per the profile, weighted z^{|lam^0| + 2 sum_{i>=1} |lam^i|}."""
-    return _open_chains(_parse(delta, order), order, 2)
+    return _open_chains((_parse(delta, order),), order, 2)
 
 
 def count_dspp_fillings(delta, order):

@@ -268,6 +268,17 @@ def test_wide_profiles_finish_under_a_memory_limit():
         assert proc.stdout.endswith("\n")
 
 
+def test_long_profiles_choose_their_orientation_in_linear_time():
+    # dspp and cp rank their orientations in one pass over the profile's
+    # runs: ranking each of cp's 2h rotations by its own steps is
+    # quadratic, and took 10.9 s for 3000 letters at order 6
+    rng = random.Random(25)
+    profile = "".join(rng.choice("+-") for _ in range(2000))
+    for family in ("dspp", "cp"):
+        proc, wall = run_limited(["count", "--family", family, "--profile=" + profile, "--order", "6"])
+        assert proc.returncode == 0 and wall < 2, (family, proc.returncode, wall, proc.stderr)
+
+
 def test_asym_past_the_float_range_of_v():
     # v is below the float range from width 84: printed as mantissa and
     # exponent, not as 0.0, and psi_n still evaluates from log v

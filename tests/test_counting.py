@@ -1,15 +1,26 @@
+import contextlib
+import io
+import json
 from itertools import product
 
 import pytest
 
 from planeparts import counting, series
+from planeparts.cli import main
 from planeparts.counting import (
     count_cp,
     count_dspp,
     count_dspp_fillings,
     count_scp,
 )
-from planeparts.partitions import is_horizontal_strip, partitions_of, partitions_up_to
+from planeparts.partitions import (
+    _live_starts,
+    _trace,
+    _walk,
+    is_horizontal_strip,
+    partitions_of,
+    partitions_up_to,
+)
 from planeparts.profiles import parse_profile, profiles_up_to, reverse_negate
 from planeparts.series import cp_gf, dspp_gf, scp_gf
 
@@ -124,10 +135,81 @@ def test_oracle_equals_product_per_family():
         assert count_scp(delta, 10) == scp_gf(delta, 10), delta
 
 
-def test_count_dspp_reverse_negate_invariance():
-    for delta in profiles_up_to(3):
-        rev = reverse_negate(delta)
-        assert count_dspp(delta, 8) == count_dspp(rev, 8)
+def rotations(delta):
+    """delta and reverse_negate(delta), each started at every index."""
+    return [word[r:] + word[:r] for word in (delta, reverse_negate(delta)) for r in range(len(delta))]
+
+
+def test_every_orientation_counts_alike():
+    # reading a chain backwards turns a delta-chain into a
+    # reverse_negate(delta)-chain, which keeps a dspp count, and starting
+    # a closed chain at another index keeps a cp count: walked through
+    # partitions directly, so that counting's choice among them rests on
+    # a checked symmetry
+    order = 14
+    for delta in profiles_up_to(4, 1):
+        walks = [_walk(_live_starts(steps, order), steps, order)
+                 for steps in (counting._steps(word, 1) for word in (delta, reverse_negate(delta)))]
+        assert walks[0] == walks[1], delta
+        traces = [_trace(counting._closed_steps(word), order) for word in rotations(delta)]
+        assert traces == [traces[0]] * len(traces), delta
+    # the choice ranks each chain by one first step, which must have the
+    # chain's own live starts
+    for delta in profiles_up_to(6, 1):
+        for m in (1, 2):
+            first = counting._first_steps(delta, m)
+            assert _live_starts(first, order) == _live_starts(counting._steps(delta, m), order), (delta, m)
+        if len(delta) >= 2:
+            firsts = counting._first_steps(delta, 1, closed=True)
+            for r, step in enumerate(firsts):
+                chain = counting._closed_steps(delta[r:] + delta[:r])
+                assert _live_starts([step], order) == _live_starts(chain, order), (delta, r)
+
+
+def spy(monkeypatch, name):
+    """The steps of each call of counting's name, recorded as it runs."""
+    calls, real = [], getattr(counting, name)
+
+    def recording(*args):  # _walk(starts, steps, order), _trace(steps, order)
+        calls.append(args[-2])
+        return real(*args)
+
+    monkeypatch.setattr(counting, name, recording)
+    return calls
+
+
+def test_counts_take_the_orientation_with_the_fewest_live_starts(monkeypatch):
+    walks, traces = spy(monkeypatch, "_walk"), spy(monkeypatch, "_trace")
+    # "+-+" starts up with p = 0, "-+-" down with p = 1: 684 starts against 631 at 30
+    count_dspp(parse_profile("+-+"), 30)
+    assert walks == [counting._steps(parse_profile("-+-"), 1)]
+    # ties go to delta itself; "+--+-" and its reverse_negate "+-++-" both
+    # start up with p = 0, and "+---+" (up, p = 0) has 12 starts at 8 as
+    # "-+++-" (down, p = 3) has
+    for text, order in (("+-", 30), ("+--+-", 30), ("+---+", 8)):
+        walks.clear()
+        count_dspp(parse_profile(text), order)
+        assert walks == [counting._steps(parse_profile(text), 1)], text
+    delta = parse_profile("--+")
+    count_cp(delta, 20)
+    fewest = min(len(_live_starts(counting._closed_steps(word), 20)) for word in rotations(delta))
+    assert traces[0] in [counting._closed_steps(word) for word in rotations(delta)]
+    assert len(_live_starts(traces[0], 20)) == fewest < len(_live_starts(counting._closed_steps(delta), 20))
+    # "++-++--" ties with its rotation "++--++-", both up with p = 1
+    delta = parse_profile("++-++--")
+    count_cp(delta, 20)
+    assert traces[1] == counting._closed_steps(delta)
+    # neither map keeps scp's weight: it walks delta's own steps
+    walks.clear()
+    for delta in profiles_up_to(3, 1):
+        count_scp(delta, 12)
+    assert walks == [counting._steps(delta, 2) for delta in profiles_up_to(3, 1)]
+    # the CLI reports the profile it was given, not the one walked
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["count", "--family", "dspp", "--profile=+-+", "--order", "30", "--format", "json"]) == 0
+    assert json.loads(out.getvalue())["profile"] == "+-+"
+    assert walks[-1] == counting._steps(parse_profile("-+-"), 1)
 
 
 def test_fillings_match_sequence_counts():
