@@ -6,7 +6,7 @@ sequences of partitions interlacing according to the profile, with a
 transfer dynamic program: the state is the current boundary partition and
 the value is the vector of accumulated weights, truncated at the target
 order.  Each profile entry e is one horizontal-strip step (e == 1, 0, m)
-of partitions._walk, the same steps the skew Schur checks in schur.py
+of partitions' transfer, the same steps the skew Schur checks in schur.py
 take once per letter: the new partition lam carries weight z^{m*|lam|},
 m = 1 (m = 2 past the first diagonal of an scp).  A cylindric partition
 is a closed chain, lam^0 = lam^h, summed by partitions._trace; its last
@@ -17,7 +17,8 @@ proposed while its own weight, plus the least that the profile's later
 steps must charge for it, still fits, on up and on down steps alike:
 every cell of lam costs each later m until a down step removes it
 (partitions._ahead).  No chain starts from a lam^0 its first step
-cannot move within the order, that least charge included.
+cannot move within the order, that least charge included.  An open
+chain's two ends sum boxes of partners, not products (partitions._box).
 partitions keeps each vector as one int with W-bit slots, W proven from
 the chain's length and the order (partitions._width); this module sees
 only lists.  The bytes of the vectors are estimated before a walk
@@ -31,16 +32,16 @@ Two bijections let a count walk another chain: read backwards, a
 delta-chain is a reverse_negate(delta)-chain, which keeps dspp's sum
 |lam^i|; started elsewhere, a closed chain rotates delta, which keeps
 cp's cyclic sum.  count_dspp and count_cp take the orientation (2 for
-dspp, 2h for cp) with the fewest live starts, delta on a tie: dspp "+-+"
-at 44 has 4,508, "-+-" 3,232 and a quarter of the time.  scp weighs
-lam^0 once and later lam^i twice, which neither map keeps.
+dspp, 2h for cp) with the fewest live starts, counted, not built, delta
+on a tie: dspp "+-+" at 44 has 4,508, "-+-" 3,232.  scp weighs lam^0
+once and later lam^i twice, which neither map keeps.
 
 count_dspp_fillings is the one genuinely exponential oracle: it fills
 the staircase region cell by cell and exists to pin the diagonal-reading
 correspondence against the filling definition.
 """
 
-from .partitions import _live_starts, _partition_counts, _trace, _walk, _width
+from .partitions import _live_starts, _open_walk, _partition_counts, _trace, _width
 from .profiles import Profile, region_cells, reverse_negate
 from .series import TruncatedSeries
 
@@ -49,8 +50,8 @@ FILLING_ORDER_BOUND = 8
 # P(order) * (order + 1) * W/8 for the packed state vectors (W from
 # partitions._width), the only proven bound.  At the largest orders
 # accepted, a count CLI process peaks (VmHWM) far lower: dspp "++" at 46
-# (estimate 232 MB) at 23 MB, "+" at 47 (212 MB) at 40 MB, "+-+" at 45
-# (237 MB), walked as "-+-", at 21 MB, and cp "+-" at 46 (232 MB) at
+# (estimate 232 MB) at 17 MB, "+" at 47 (212 MB) at 18 MB, "+-+" at 45
+# (237 MB), walked as "-+-", at 19 MB, and cp "+-" at 46 (232 MB) at
 # 65 MB, its trace holding a whole size class of betas at once.  Chains
 # with no step peak at 16 MB: the empty profile at 51, cp "+" at 47.
 VECTOR_BUDGET = 256 << 20
@@ -101,32 +102,23 @@ def _first_steps(word, m, closed=False):
 
 def _fewest_starts(words, order, m, closed=False):
     """The word, or when closed the rotation of one, whose chain has the
-    fewest live starts, the first on a tie, with those starts."""
-    seen, best = set(), None
-    for word in words:
-        for r, step in enumerate(_first_steps(word, m, closed)):
-            if step not in seen:  # a repeated step ties with its first, which came first
-                seen.add(step)
-                starts = _live_starts([step], order)
-                if best is None or len(starts) < len(best[2]):
-                    best = word, r, starts
-    word, r, starts = best
-    return word[r:] + word[:r], starts
+    fewest live starts, counted, not built; the first on a tie."""
+    firsts = [(word, r, step) for word in words for r, step in enumerate(_first_steps(word, m, closed))]
+    counts = {step: _live_starts([step], order, count=True) for step in {step for _, _, step in firsts}}
+    word, r, _ = min(firsts, key=lambda first: counts[first[2]])
+    return word[r:] + word[:r]
 
 
 def _open_chains(words, order, m):
     """lam^0 weighted z^{|lam^0|}, walked through the one of words with
-    the fewest live starts, the first on a tie, lam^0 ranging over those
-    starts, the only ones that add to any count (partitions._live_starts);
+    the fewest live starts, the first on a tie (partitions._open_walk);
     with no step, lam^0 alone, which counts the partitions of each size.
     Each starts at z^|lam^0| and a new state costs m*|lam| >= |lam|, so
     no state outgrows the order, the size the walk proves its slot width
-    for, as _guard charges it.
-    """
+    for, as _guard charges it."""
     if not _guard(words[0], order):  # the guard charges the chain's length alone
         return TruncatedSeries(order, _partition_counts(order))
-    word, starts = _fewest_starts(words, order, m)
-    return TruncatedSeries(order, _walk(starts, _steps(word, m), order))
+    return TruncatedSeries(order, _open_walk(_steps(_fewest_starts(words, order, m), m), order))
 
 
 def _closed_steps(delta):
@@ -148,7 +140,7 @@ def count_cp(delta, order):
         raise ValueError("cylindric profiles need length >= 1")
     if len(_guard(delta, order)) == 1:  # lam^0 closes with itself alone
         return TruncatedSeries(order, _partition_counts(order))
-    word, _ = _fewest_starts((delta, reverse_negate(delta)), order, 1, closed=True)
+    word = _fewest_starts((delta, reverse_negate(delta)), order, 1, closed=True)
     return TruncatedSeries(order, _trace(_closed_steps(word), order))
 
 

@@ -37,10 +37,13 @@ each walk targeted at its own start; the starts of one size share that
 target size, so they walk together, one transfer per size class with
 one map per start, and each map closes against its own start.
 _live_starts reads off the first step's window, with the lookahead's
-charge, the starts that step can move at all: _trace's betas, and the
-counting oracles' open starts.  The counting oracles and both sides of
-every skew Schur identity only say which steps their chains take, with
-partitions going in and lists coming out; ids never leave this module.
+charge, the starts that step can move at all, or counts them: _trace's
+betas, and the counting oracles' open starts.  _open_walk sums an open
+counting chain's first step and end states in closed form, with no
+partner table: interlacing is a box condition (_box).  The counting
+oracles and both sides of every skew Schur identity only say which steps
+their chains take, with partitions going in and lists coming out; ids
+never leave this module.
 
 Inside the transfer a coefficient vector c_0..c_order is one int with
 W-bit slots, sum_d c_d << d*W, so a move is one shift and one mask,
@@ -428,31 +431,86 @@ def _strip_step(dists, up, order, a, m, width, ahead=(0, None, None), goal=None)
     return out
 
 
-def _live_starts(steps, order):
-    """The starts lam, at z^|lam|, that a chain's first step (up, a, m) can
-    move, as a map lam -> |lam|.
+def _window(order, x, y, count=False):
+    """The lam = (k,) + nu, k >= nu_1, with x*k + y*|nu| <= order (1 <= x
+    <= y) as a map lam -> |lam|, or their count, building none; with x ==
+    y, partitions_of's own objects, else per nu a range of k, and ()."""
+    top = order // y
+    if x == y:
+        return sum(_partition_counts(top)) if count else {lam: s for s in range(top + 1) for lam in partitions_of(s)}
+    heads = ((nu, s, range(nu[0] if nu else 1, (order - y * s) // x + 1))
+             for s in range(top + 1) for nu in partitions_of(s))
+    if count:
+        return 1 + sum(len(ks) for _, _, ks in heads)
+    return {(): 0, **{(k,) + nu: k + s for nu, s, ks in heads for k in ks}}
 
-    Read off _strip_step's window for that step with _ahead's first
-    bound p and no goal, at budget order - |lam|: a move to lam' weighs
-    a*|strip| + c*|lam'| at the least, c = m + p, each cell's own
-    weight and the least the rest of the chain charges it.  Up,
-    |lam'| >= |lam|, and so does down when a >= c, where the cheapest
-    move keeps lam: |lam| <= order // (c+1), partitions_of's own
-    objects in partitions_up_to's order.  Down with a < c, the cheapest
-    move drops lam's first row: lam = (k,) + nu with k >= nu_1 and
-    (a+1)k + (c+1)|nu| <= order.
-    """
-    (up, a, m), (p, _, _) = steps[0], _ahead(steps)[0]
-    c = m + p
-    top = order // (c + 1)
-    if up or a >= c:
-        return {lam: s for s in range(top + 1) for lam in partitions_of(s)}
-    starts = {(): 0}
-    for s in range(top + 1):
-        for nu in partitions_of(s):
-            for k in range(nu[0] if nu else 1, (order - (c + 1) * s) // (a + 1) + 1):
-                starts[(k,) + nu] = k + s
-    return starts
+
+def _live_starts(steps, order, count=False):
+    """The starts lam, at z^|lam|, that a chain's first step (up, a, m) can
+    move, as a map lam -> |lam|, or with count their number: _strip_step's
+    window at budget order - |lam|, with _ahead's first p and no goal.  A
+    move to lam' weighs a*|strip| + c*|lam'| at the least, c = m + p.  Up,
+    and down when a >= c, the cheapest move keeps lam: (c+1)|lam| <=
+    order.  Down with a < c it drops lam's first row: lam = (k,) + nu with
+    (a+1)k + (c+1)|nu| <= order (_window).  An open chain's closed-form
+    first step reads this window with up and down swapped (_first_step),
+    and its end sum, when it has one step, these starts (_open_walk)."""
+    (up, a, _), c = steps[0], steps[0][2] + _ahead(steps)[0][0]
+    return _window(order, c + 1 if up else min(a, c) + 1, c + 1, count)
+
+
+def _geos(q, order, width):
+    """[g + 1] at z^q, packed, for g = 0 .. order; read to order, the last is 1/(1 - z^q)."""
+    return [((1 << (g + 1) * q * width) - 1) // ((1 << q * width) - 1) for g in range(order + 1)]
+
+
+def _box(lam, up, q, order, width, geos):
+    """The sum of z^(q|nu|) over the nu with lam ≺ nu (up) or nu ≺ lam
+    (down), packed and read to order, geos = _geos(q, n >= order, |lam|).
+    Interlacing is a box: nu_i - lam_{i+1} (down) or nu_{i+1} - lam_{i+1}
+    (up) runs over 0 .. g_i = lam_i - lam_{i+1}, and nu_1 >= lam_1 (up) is
+    free: z^(q(|lam| - lam_1)) prod [g_i + 1] down, z^(q|lam|) / (1 - z^q)
+    prod [g_i + 1] up.  Slots past the order carry only up, masked off."""
+    low = sum(lam) if up else sum(lam[1:])
+    budget = order - q * low
+    if budget < 0:
+        return 0
+    mask = (1 << (budget + 1) * width) - 1
+    v = geos[-1] & mask if up else 1
+    for g in map(int.__sub__, lam, lam[1:] + (0,)):
+        if g:
+            v = v * geos[g] & mask
+    return v << q * low * width
+
+
+def _first_step(steps, order, width):
+    """The map one _strip_step makes from every live start mu at z^|mu|,
+    for an open chain's first step (up, 0, m): mu moves to lam when |mu| +
+    c|lam| <= order, c = m + p, so lam gets z^(m|lam|) * _box(lam, not up,
+    1) read to order - c|lam|, over _live_starts' window, up and down swapped."""
+    (up, _, m), c = steps[0], steps[0][2] + _ahead(steps)[0][0]
+    window, geos = _window(order, c if up else c + 1, c + 1), _geos(1, order, width)
+    return {i: _box(lam, not up, 1, order - c * s, width, geos) << m * s * width
+            for i, lam, s in zip(_number(window), window, window.values())}
+
+
+def _open_walk(steps, order):
+    """_walk's sum over the end states from every live start mu at z^|mu|
+    when every step has a = 0, with no partner table at either end: the
+    first step is _first_step's, and the last, (up, 0, m), adds v *
+    _box(mu, up, m) over the states mu before it."""
+    width = _width(order, len(steps))
+    *body, (up, _, m) = steps
+    if body:
+        dists = [_first_step(steps, order, width)]
+        for (b_up, a, b_m), ahead in zip(body[1:], _ahead(steps)[1:]):
+            dists = _strip_step(dists, b_up, order, a, b_m, width, ahead)
+        ends = [(_parts[i], v) for i, v in dists[0].items()]
+    else:
+        ends = [(mu, 1 << s * width) for mu, s in _live_starts(steps, order).items()]
+    geos = _geos(m, order, width)
+    total = sum(v * _box(mu, up, m, order - ((v & -v).bit_length() - 1) // width, width, geos) for mu, v in ends)
+    return _unpack(total & (1 << (order + 1) * width) - 1, width, order)
 
 
 def _walk(starts, steps, order, target=None):

@@ -15,6 +15,7 @@ from planeparts.counting import (
 )
 from planeparts.partitions import (
     _live_starts,
+    _partition_counts,
     _trace,
     _walk,
     is_horizontal_strip,
@@ -170,7 +171,7 @@ def spy(monkeypatch, name):
     """The steps of each call of counting's name, recorded as it runs."""
     calls, real = [], getattr(counting, name)
 
-    def recording(*args):  # _walk(starts, steps, order), _trace(steps, order)
+    def recording(*args):  # _open_walk(steps, order), _trace(steps, order)
         calls.append(args[-2])
         return real(*args)
 
@@ -179,7 +180,7 @@ def spy(monkeypatch, name):
 
 
 def test_counts_take_the_orientation_with_the_fewest_live_starts(monkeypatch):
-    walks, traces = spy(monkeypatch, "_walk"), spy(monkeypatch, "_trace")
+    walks, traces = spy(monkeypatch, "_open_walk"), spy(monkeypatch, "_trace")
     # "+-+" starts up with p = 0, "-+-" down with p = 1: 684 starts against 631 at 30
     count_dspp(parse_profile("+-+"), 30)
     assert walks == [counting._steps(parse_profile("-+-"), 1)]
@@ -223,6 +224,13 @@ def test_fillings_zero_size_always_one():
         assert count_dspp_fillings(delta, 0)[0] == 1
 
 
+def test_one_up_step_counts_partitions_at_depth():
+    # an interlacing pair mu ≺ lam merges into one partition of size
+    # |mu| + |lam| (lam_1, mu_1, lam_2, mu_2, ...), so dspp "+" is p(n);
+    # with both ends in closed form, order 47 is cheap
+    assert count_dspp(parse_profile("+"), 47).coeffs == _partition_counts(47)
+
+
 def test_longer_profiles_still_agree_with_products():
     import random
 
@@ -264,7 +272,7 @@ def test_stepless_chains_count_partitions_and_the_guard_keeps_its_tops(monkeypat
     def walked(*args, **kwargs):
         raise AssertionError("a chain with no step was walked")
 
-    monkeypatch.setattr(counting, "_walk", walked)
+    monkeypatch.setattr(counting, "_open_walk", walked)
     monkeypatch.setattr(counting, "_trace", walked)
     for order in (0, 1, 12, 30):
         expect = tuple(len(partitions_of(n)) for n in range(order + 1))

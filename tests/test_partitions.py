@@ -575,18 +575,19 @@ def test_lookahead_keeps_only_states_that_can_end(monkeypatch):
     # step keeps exactly the lam with |lam^0| + 2|lam| <= 30 for some
     # lam^0 ≺ lam, that is 3|lam| - lam_1 <= 30.  A window charging only
     # the move itself keeps every lam with 2|lam| - lam_1 <= 30: 2,035.
+    # The first step is the closed form's map, read off _first_step.
     kept = []
-    step = partitions._strip_step
+    first = partitions._first_step
 
     def counted(*args):
-        out = step(*args)
-        kept.append(len(out[0]))
+        out = first(*args)
+        kept.append(len(out))
         return out
 
-    monkeypatch.setattr(partitions, "_strip_step", counted)
+    monkeypatch.setattr(partitions, "_first_step", counted)
     count_dspp((1, 1), 30)
     bound = sum(1 for lam in partitions_up_to(30) if 3 * lam.size - (lam[0] if lam else 0) <= 30)
-    assert kept[0] == bound == 236
+    assert kept == [bound] and bound == 236
     weak = sum(1 for lam in partitions_up_to(30) if 2 * lam.size - (lam[0] if lam else 0) <= 30)
     assert weak == 2035
 
@@ -625,6 +626,63 @@ def test_live_starts_charge_the_lookahead():
     assert len(_live_starts(steps, 45)) == 684
     assert sum(1 for lam in partitions_up_to(15)) == 684
     assert sum(1 for lam in partitions_up_to(22)) == 4508
+
+
+def test_live_starts_count_equals_the_map():
+    # counted off _partition_counts or the windows' lengths, building no
+    # partition, and equal to the map's size for random chains
+    rng = random.Random(26)
+    for _ in range(300):
+        order = rng.randrange(31)
+        steps = [(rng.random() < 0.5, rng.randrange(3), rng.randrange(3))
+                 for _ in range(rng.randint(1, 4))]
+        assert _live_starts(steps, order, count=True) == len(_live_starts(steps, order)), (order, steps)
+
+
+def test_box_sums_the_partners():
+    # the closed form against the partners _strips lists, up and down,
+    # at z^q, read to several orders
+    width = 16
+    for q in (1, 2, 3):
+        for order in (0, 5, 11):
+            geos = partitions._geos(q, max(order, 7), width)
+            for lam in partitions_up_to(7):
+                for up in (True, False):
+                    want = [0] * (order + 1)
+                    for nu in strips(lam, up, 0, order // q + lam.size):
+                        if q * sum(nu) <= order:
+                            want[q * sum(nu)] += 1
+                    got = _unpack(partitions._box(lam, up, q, order, width, geos), width, order)
+                    assert got == want, (q, order, lam, up)
+
+
+def test_first_step_is_one_strip_step_from_the_live_starts():
+    # random first steps (up, 0, m), m in {1, 2}, charged p = 0..3 by the
+    # steps after them, at orders up to 20: the closed form's map is the
+    # map one _strip_step makes from every live start mu at z^|mu|
+    rng = random.Random(261)
+    width = _width(20, 5)
+    for _ in range(80):
+        order, up, m, p = rng.randrange(21), rng.random() < 0.5, rng.choice((1, 2)), rng.randrange(4)
+        steps = [(up, 0, m)] + [(True, 0, 1)] * p + [(False, 0, 1)]
+        assert _ahead(steps)[0][0] == p
+        starts = _live_starts(steps, order)
+        dist = {i: 1 << s * width for i, s in zip(_number(starts), starts.values())}
+        walked = _strip_step([dist], up, order, 0, m, width, _ahead(steps)[0])[0]
+        closed = partitions._first_step(steps, order, width)
+        assert {i: _unpack(v, width, order) for i, v in closed.items()} == {
+            i: _unpack(v, width, order) for i, v in walked.items()}, (order, steps)
+
+
+def test_open_walks_equal_the_walked_reads():
+    # random open chains with a = 0, as the counting oracles take them:
+    # the closed-form ends read what _walk reads from the live starts
+    rng = random.Random(262)
+    for _ in range(80):
+        order = rng.randrange(21)
+        steps = [(rng.random() < 0.5, 0, rng.choice((1, 2))) for _ in range(rng.randint(1, 4))]
+        assert partitions._open_walk(steps, order) == _walk(_live_starts(steps, order), steps, order), (
+            order, steps)
 
 
 def test_strip_step_moves_each_map_alone():

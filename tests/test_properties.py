@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from planeparts.counting import count_cp, count_dspp, count_scp
 from planeparts.profiles import Profile
 from planeparts.schur import OPEN_ENDPOINTS, verify_summation
-from planeparts.series import _expand, cp_gf, dspp_gf, scp_gf
+from planeparts.series import _expand, cp_gf, dspp_gf, dspp_gf_unsimplified, scp_gf
 from test_series import geometric_reference
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -44,6 +44,22 @@ def test_counting_oracles_equal_products(delta, order):
     assert count_scp(delta, order) == scp_gf(delta, order)
     if len(delta) >= 1:  # a cylinder needs at least one diagonal
         assert count_cp(delta, order) == cp_gf(delta, order)
+
+
+@st.composite
+def deep_counts(draw):
+    # the order is drawn after the length, so long profiles are kept
+    delta = Profile(draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=8)))
+    return delta, draw(st.integers(0, 24))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(deep_counts())
+def test_counting_oracles_equal_products_at_depth(inputs):
+    delta, order = inputs
+    assert count_dspp(delta, order) == dspp_gf(delta, order) == dspp_gf_unsimplified(delta, order)
+    assert count_scp(delta, order) == scp_gf(delta, order)
+    assert count_cp(delta, min(order, 18)) == cp_gf(delta, min(order, 18))
 
 
 @PROPERTY_SETTINGS
