@@ -24,7 +24,6 @@ from .asymptotics import (
     psi_table_value,
     ribbon_b_fraction,
     ribbon_params,
-    ribbon_rate_fraction,
     scp_b_fraction,
     scp_n_exponent_fraction,
     scp_params,

@@ -18,9 +18,9 @@ families, so the two paths cross-check each other.
 All floating-point products are accumulated in the log domain, and v is
 carried as log v (AsymptoticParams.log_v): it falls below the float
 range from width 84 on, where log_psi still reads it exactly and
-psi_eval falls back to exp(log_psi).  r and b also exist as exact
-rationals (b itself, and the coefficient of pi^2 in r), exposed through
-the *_fraction helpers.
+psi_eval falls back to exp(log_psi).  b also exists as an exact
+rational (ribbon_b_fraction, scp_b_fraction, and scp_n_exponent_fraction
+for b + 3/4); r does not.
 """
 
 import math
@@ -165,22 +165,11 @@ def ribbon_b_fraction(spec):
     )
 
 
-def ribbon_rate_fraction(spec):
-    """The exact rational r / pi^2 = sum over factors of mult*2/(3x)."""
-    return sum((Fraction(2 * mult, 3 * x) for x, y, mult in spec.factors), Fraction(0))
-
-
 def _require_width(delta):
     delta = Profile(delta)
     if len(delta) < 1:
         raise ValueError("asymptotic formulas need a profile of length >= 1")
     return delta
-
-
-def dspp_growth_rate_fraction(delta):
-    """(m^2+m+2)/(6m) as an exact rational; the rate is pi*sqrt(of this * n)."""
-    m = len(Profile(delta)) + 1
-    return Fraction(m * m + m + 2, 6 * m)
 
 
 def _log_dspp_prefactor(delta):

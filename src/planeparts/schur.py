@@ -164,7 +164,11 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
     prod_i s_{lam^i/mu^i}(X^i) s_{lam^{i+1}/mu^i}(Y^i); 'complete' adds
     the weight z^|lam^h| and sums over both endpoints, 'cylindric' ties
     lam^0 = lam^h (with weight z^|lam^h|), 'open' fixes both endpoints.
+    Only 'open' reads endpoints; the other two refuse any but None.
     """
+    if which in ("complete", "cylindric") and endpoints is not None:
+        raise ValueError("the %s formula sums over its endpoints; got endpoints %r"
+                         % (which, endpoints))
     x_alphas = tuple(_normalize_alphabet(a) for a in x_alphas)
     y_alphas = tuple(_normalize_alphabet(a) for a in y_alphas)
     if len(x_alphas) != len(y_alphas):
@@ -275,10 +279,17 @@ def verify_macdonald(which, x_alpha=(), y_alpha=(), lam=EMPTY, mu=EMPTY, nu=EMPT
 
     p93A is the open formula for the chain lam ⊆ rho ⊇ mu, up in X and
     down in Y; p94A is the cylindric formula for the closed chain
-    lam ⊇ gamma ⊆ lam.
+    lam ⊇ gamma ⊆ lam.  An argument the identity does not read (nu for
+    p93A; y_alpha, lam and mu for p93B; lam, mu and nu for p94A) must
+    keep its empty default.
     """
     x_alpha = _normalize_alphabet(x_alpha)
     y_alpha = _normalize_alphabet(y_alpha)
+    unread = {"p93A": {"nu": nu}, "p93B": {"y_alpha": y_alpha, "lam": lam, "mu": mu},
+              "p94A": {"lam": lam, "mu": mu, "nu": nu}}
+    for name, value in unread.get(which, {}).items():
+        if tuple(value):
+            raise ValueError("%s does not read %s; got %r" % (which, name, value))
     params = {"x_alphabet": list(x_alpha), "y_alphabet": list(y_alpha)}
 
     if which == "p93A":
@@ -380,19 +391,7 @@ def battery_cases(max_len=3, order=8):
     return cases
 
 
-def run_battery(max_len=3, order=8, inject_fault=None):
-    """Run the identity battery; returns the list of IdentityReport.
-
-    inject_fault, if given, corrupts the left side of the case with that
-    index by one unit; it exists so the reporting machinery itself can be
-    tested end to end.
-    """
-    reports = []
-    for idx, case in enumerate(battery_cases(max_len, order)):
-        report = case()
-        if inject_fault is not None and idx == inject_fault:
-            tampered = list(report.lhs)
-            tampered[0] += 1
-            report = IdentityReport(report.name, report.params, report.order, tampered, report.rhs)
-        reports.append(report)
-    return reports
+def run_battery(max_len=3, order=8):
+    """Run every case of battery_cases(max_len, order), in order; returns
+    the list of IdentityReport."""
+    return [case() for case in battery_cases(max_len, order)]

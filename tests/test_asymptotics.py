@@ -9,7 +9,6 @@ from planeparts.asymptotics import (
     _log_dspp_prefactor,
     _log_dspp_width_constant,
     combine_params,
-    dspp_growth_rate_fraction,
     dspp_params,
     dspp_prefactor,
     dspp_ribbon_params,
@@ -22,7 +21,6 @@ from planeparts.asymptotics import (
     psi_table_value,
     ribbon_b_fraction,
     ribbon_params,
-    ribbon_rate_fraction,
     scp_b_fraction,
     scp_n_exponent_fraction,
     scp_params,
@@ -123,7 +121,6 @@ def test_dspp_rate_depends_only_on_width():
             params = dspp_params(delta)
             assert rel_err(params.r, expect) < 1e-12
             assert params.b == 0.25
-            assert dspp_growth_rate_fraction(delta) == Fraction(m * m + m + 2, 6 * m)
 
 
 def test_dspp_closed_form_equals_ribbon_route():

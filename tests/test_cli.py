@@ -92,12 +92,17 @@ def test_cp_empty_profile_is_usage_error():
         ["gf", "--family", "pp", "--order", "-1"],
         ["verify", "--max-len", "1", "--order", "-1"],
         ["verify", "--max-len", "-1", "--order", "2"],
+        # the classical families read no profile, so one given is refused
+        ["gf", "--family", "pp", "--profile=+-", "--order", "5"],
+        ["gf", "--family", "shiftpp", "--profile=-", "--order", "5"],
+        ["gf", "--family", "sympp", "--profile=++", "--order", "5"],
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code, _ = run_cli(argv)
         assert code == 2, argv
         assert err.getvalue().startswith("error:"), argv
+        assert err.getvalue().count("\n") == 1, argv
     # the counting oracles refuse them with the kernel's message
     for family in ("dspp", "cp", "scp"):
         err = io.StringIO()
@@ -151,6 +156,42 @@ def test_table_values():
     assert rows["scp"]["estimate"] == [4, 18, 59, 169]
 
 
+def test_table_csv_and_text_carry_the_json_values():
+    _, out = run_cli(["table", "--format", "json"])
+    rows = json.loads(out)["rows"]
+    expected = [
+        (row["family"], row["profile"], n, exact, estimate)
+        for row in rows
+        for n, exact, estimate in zip(row["n"], row["exact"], row["estimate"])
+    ]
+    code, out = run_cli(["table", "--format", "csv"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "family,profile,n,exact,estimate"
+    assert lines[1:] == [
+        "dspp,++,5,9,10", "dspp,++,10,64,70", "dspp,++,15,314,336", "dspp,++,20,1244,1325",
+        "scp,--,5,4,4", "scp,--,10,17,18", "scp,--,15,56,59", "scp,--,20,161,169",
+    ]
+    cells = [line.split(",") for line in lines[1:]]
+    assert [(f, p, int(n), e, int(est)) for f, p, n, e, est in cells] == expected
+
+    code, out = run_cli(["table", "--format", "text"])
+    assert code == 0
+    assert out.splitlines() == [
+        "family profile                  n=5      n=10      n=15      n=20",
+        "dspp   ++       exact             9        64       314      1244",
+        "dspp   ++       estimate         10        70       336      1325",
+        "scp    --       exact             4        17        56       161",
+        "scp    --       estimate          4        18        59       169",
+    ]
+    lines = [line.split() for line in out.splitlines()[1:]]
+    for row, exact, estimate in zip(rows, lines[0::2], lines[1::2]):
+        assert exact[:3] == [row["family"], row["profile"], "exact"]
+        assert exact[3:] == row["exact"]
+        assert estimate[:3] == [row["family"], row["profile"], "estimate"]
+        assert [int(v) for v in estimate[3:]] == row["estimate"]
+
+
 def test_table_custom_n():
     code, out = run_cli(["table", "--n", "1", "--format", "json"])
     assert code == 0
@@ -171,7 +212,7 @@ def test_table_past_the_float_range_is_usage_error():
     assert err.getvalue() == "error: n = 70000 is too large: psi_n is past the float range\n"
 
 
-def test_verify_exit_codes_and_fault_injection():
+def test_verify_exit_codes_and_fault_injection(corrupt_first_summation):
     code, out = run_cli(["verify", "--max-len", "1", "--order", "5"])
     assert code == 0
     lines = out.strip().splitlines()
@@ -180,7 +221,8 @@ def test_verify_exit_codes_and_fault_injection():
     for line in lines[:-1]:
         assert json.loads(line)["passed"] is True
 
-    code, out = run_cli(["verify", "--max-len", "1", "--order", "5", "--inject-fault", "0"])
+    corrupt_first_summation()
+    code, out = run_cli(["verify", "--max-len", "1", "--order", "5"])
     assert code == 1
     lines = out.strip().splitlines()
     assert json.loads(lines[-1])["failures"] == 1
@@ -341,7 +383,9 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as exc:
             run_cli(["asym", "--family", "dspp", "--profile=" + profile, "--m", "3"])
         assert exc.value.code == 2, profile
-
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--inject-fault", "0"])
+    assert exc.value.code == 2
 
 
 def test_cached_parser_keeps_no_state_between_calls():

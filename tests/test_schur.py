@@ -159,6 +159,38 @@ def test_macdonald_identities():
         verify_macdonald("p95X", order=4)
 
 
+def test_summations_refuse_endpoints_they_sum_over():
+    for which in ("complete", "cylindric"):
+        with pytest.raises(ValueError, match="endpoints"):
+            verify_summation(which, parse_profile("+"), (1,), endpoints=((5,), (3,)), order=4)
+        with pytest.raises(ValueError, match="endpoints"):
+            verify_alternating_summation(which, ((1,),), ((1,),), endpoints=((), ()), order=4)
+        # None is every kind's default, and perfbench passes it explicitly
+        assert verify_summation(which, parse_profile("+"), (1,), endpoints=None, order=4).passed
+        assert verify_alternating_summation(which, ((1,),), ((1,),), endpoints=None,
+                                            order=4).passed
+
+
+def test_macdonald_refuses_arguments_its_identity_does_not_read():
+    unread = (
+        ("p93A", {"nu": (1,)}),
+        ("p93B", {"y_alpha": (2,)}),
+        ("p93B", {"lam": (1,)}),
+        ("p93B", {"mu": (2, 1)}),
+        ("p94A", {"lam": (9, 9)}),
+        ("p94A", {"mu": (1,)}),
+        ("p94A", {"nu": (1, 1)}),
+    )
+    for which, kwargs in unread:
+        (name,) = kwargs
+        with pytest.raises(ValueError, match="%s does not read %s" % (which, name)):
+            verify_macdonald(which, x_alpha=(1,), order=4, **kwargs)
+    # an unread argument at its empty default is no argument at all
+    assert verify_macdonald("p93A", (1,), (2,), lam=(1,), mu=(1,), nu=(), order=4).passed
+    assert verify_macdonald("p93B", (1,), (), lam=(), mu=(), nu=(1,), order=4).passed
+    assert verify_macdonald("p94A", (1,), (2,), lam=(), mu=(), nu=(), order=4).passed
+
+
 def test_report_shape():
     r = verify_summation("complete", parse_profile("+"), (1,), order=5)
     blob = r.to_json()
@@ -188,10 +220,11 @@ def test_verifier_truncation_consistency():
     assert long.lhs[:8] == short.lhs and long.rhs[:8] == short.rhs
 
 
-def test_battery_small_and_fault_injection():
+def test_battery_small_and_fault_injection(corrupt_first_summation):
     reports = run_battery(max_len=1, order=5)
     assert reports and all(r.passed for r in reports)
-    tampered = run_battery(max_len=1, order=5, inject_fault=0)
+    corrupt_first_summation()
+    tampered = run_battery(max_len=1, order=5)
     assert sum(1 for r in tampered if not r.passed) == 1
     assert tampered[0].first_mismatch == 0
 
