@@ -117,30 +117,19 @@ def is_horizontal_strip(lam, mu):
 def partitions_of(n):
     """The partitions of exactly n in descending lexicographic order.
 
-    A tuple, built once per process: every caller of one size shares
-    the same Partition objects.
+    By the recurrence on the first part: for k from n down to 1, k
+    followed by each partition of n - k whose parts are at most k.  A
+    tuple, built once per process: every caller of one size shares the
+    same Partition objects.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer, got %r" % (n,))
-    if n == 0:
-        return (EMPTY,)
-    out = []
-    a = [n]
-    while True:
-        out.append(tuple.__new__(Partition, a))
-        j = len(a) - 1
-        while j >= 0 and a[j] == 1:
-            j -= 1
-        if j < 0:
-            return tuple(out)
-        a[j] -= 1
-        rem = len(a) - j  # the removed unit plus all trailing ones
-        a = a[: j + 1]
-        cap = a[j]
-        while rem > 0:
-            c = min(cap, rem)
-            a.append(c)
-            rem -= c
+    # smallest size first, so each call finds the sizes below it cached
+    # and the recursion is never more than two calls deep
+    smaller = [partitions_of(s) for s in range(n)]
+    return (EMPTY,) if n == 0 else tuple(
+        tuple.__new__(Partition, (k,) + rest)
+        for k in range(n, 0, -1) for rest in smaller[n - k] if not rest or rest[0] <= k)
 
 
 def partitions_up_to(n):

@@ -32,6 +32,7 @@ has length m - 1 and indices run over 1 <= i < j <= m - 1.
 
 from collections import Counter
 from functools import lru_cache
+from itertools import groupby, product
 from operator import itemgetter
 
 from .partitions import Partition, _packed_product
@@ -247,28 +248,16 @@ def run_lengths(delta):
     """Run-length decomposition delta = 1^{a_0} (-1)^{b_1} ... 1^{a_{r-1}} (-1)^{b_r}.
 
     Returns (a, b) as lists with len(a) == len(b) == r, a[0] >= 0,
-    b[-1] >= 0 and all interior runs >= 1.  The empty profile decomposes
-    as a = [0], b = [0].
+    b[-1] >= 0 and all interior runs >= 1: the runs alternate, and a
+    leading +1 run and a trailing -1 run of length 0 are added where
+    missing.  The empty profile decomposes as a = [0], b = [0].
     """
-    delta = Profile(delta)
-    runs = []
-    for e in delta:
-        if runs and runs[-1][0] == e:
-            runs[-1][1] += 1
-        else:
-            runs.append([e, 1])
-    a, b = [], []
-    if runs and runs[0][0] == 1:
-        a.append(runs[0][1])
-        runs = runs[1:]
-    else:
-        a.append(0)
-    for sign, length in runs:
-        (b if sign == -1 else a).append(length)
-    if len(b) < len(a):
-        b.append(0)
-    assert len(a) == len(b)
-    return a, b
+    runs = [(e, len(list(group))) for e, group in groupby(Profile(delta))]
+    if not runs or runs[0][0] == -1:
+        runs.insert(0, (1, 0))
+    if runs[-1][0] == 1:
+        runs.append((-1, 0))
+    return [n for e, n in runs if e == 1], [n for e, n in runs if e == -1]
 
 
 def region_cells(delta, window):
@@ -388,14 +377,7 @@ def diagonals_to_filling(delta, diagonals, window):
 @lru_cache(maxsize=None)
 def all_profiles(length):
     """All 2^length profiles of the given length, lexicographic with +1 first."""
-    if length == 0:
-        return (Profile(),)
-    shorter = all_profiles(length - 1)
-    out = []
-    for head in (1, -1):
-        for tail in shorter:
-            out.append(Profile((head,) + tuple(tail)))
-    return tuple(out)
+    return tuple(map(Profile, product((1, -1), repeat=length)))
 
 
 def profiles_up_to(max_length, min_length=0):

@@ -37,12 +37,13 @@ and the geometric factors 1/(1-z^k).  Each product part is compiled to
 a truncated exponent map and expanded by the one kernel the generating
 functions use, series._expand.  phi's pair sums are one packed square
 (series._phi); psi's few pairs are summed directly (series._psi).  The
-products over k >= 1 of phi(z^k X) and psi(z^k X, Y) build the map at
-k = 1 once and spread it (series._phi_spread, series._spread), phi's
-pair sums in steps of 2, everything else in steps of 1.  Where a
-right-hand side also has a sum over partitions, its walk starts from 1
-and the expanded product (its kernel) multiplies the read afterwards,
-one partitions._packed_product: the walk is linear in its start.
+complete formula's right-hand side is series._complete_exponents, the
+builder the raw dspp and scp products use too; the cylindric side's
+product over k >= 1 of psi(z^k X, Y) builds the map at k = 1 once and
+spreads it in steps of 1 (series._spread).  Where a right-hand side
+also has a sum over partitions, its walk starts from 1 and the expanded
+product (its kernel) multiplies the read afterwards, one
+partitions._packed_product: the walk is linear in its start.
 """
 
 from collections import Counter
@@ -51,7 +52,7 @@ from itertools import product as iter_product
 from .partitions import (EMPTY, Partition, _packed_product, _partition_counts, _trace, _walk,
                          partitions_up_to)
 from .profiles import Profile, all_profiles
-from .series import TruncatedSeries, _expand, _phi, _phi_spread, _psi, _spread
+from .series import TruncatedSeries, _complete_exponents, _expand, _phi, _psi, _spread
 
 
 def _normalize_alphabet(alpha):
@@ -137,13 +138,6 @@ def _pair_exponents(x_alphas, y_alphas, order):
     return exps
 
 
-def _complete_exponents(head, alphabet, order):
-    """phi(head) * prod_{k>=1} phi(z^k alphabet) / (1-z^k)."""
-    exps = _phi(head, order) + Counter(range(1, order + 1))
-    exps.update(_phi_spread([1 + a for a in alphabet], 1, order))
-    return exps
-
-
 def _cylindric_exponents(x_all, y_all, order):
     """prod_{k>=1} psi(z^k X, Y) / (1-z^k): psi(z X, Y), spread in steps of 1."""
     exps = Counter(range(1, order + 1))
@@ -182,7 +176,7 @@ def verify_alternating_summation(which, x_alphas, y_alphas, endpoints=None, orde
     pair = _pair_exponents(x_alphas, y_alphas, order)
 
     if which == "complete":
-        rhs = _expand(pair + _complete_exponents(x_all, x_all + y_all, order), order)
+        rhs = _expand(pair + _complete_exponents(x_all, x_all + y_all, 1, order), order)
         # every chain from every start, times z^|lam^h|: one more on the
         # last step's m
         steps = _zigzag(x_alphas, y_alphas)

@@ -14,11 +14,13 @@ big-int products of Kronecker-packed values at +2^b and -2^b.
 
 The map of the Schur-process kernel phi is its singles a_i and the sums
 a_i + a_j over index pairs i < j, read off one packed square of their
-tally by profiles.pair_sums; the raw product forms take their boundary
-pairs from the cross sums of profiles.sums, the kernel the exponent
-multisets are built with.  A map shifted by k*step for every k, as the
+tally by profiles.pair_sums.  A map shifted by k*step for every k, as the
 products over k of phi(z^k X) and psi(z^k X, Y) need, is built once
-and spread (_spread).
+and spread (_spread).  The right-hand side of the complete summation
+formula is built once (_complete_exponents), for schur's complete check
+at step 1 and for the raw dspp and scp products at step width; the raw
+forms add their boundary pairs from the cross sums of profiles.sums,
+the kernel the exponent multisets are built with.
 """
 
 from collections import Counter
@@ -162,15 +164,20 @@ def _spread(exps, step, order):
     return out
 
 
-def _phi_spread(exponents, step, order):
-    """Exponent map of prod_{k>=0} phi(z^(k*step) X), up to order.
+def _complete_exponents(head, alphabet, step, order):
+    """Exponent map of the complete summation formula's right-hand side,
+    phi(head) * prod_{k>=1} phi(z^(k*step) alphabet) / (1 - z^(k*step)),
+    up to order.
 
-    The singles of phi(z^(k*step) X) are those of phi(X) shifted by
-    k*step, its pair sums those of phi(X) shifted by 2*k*step: each part
-    is built once and spread.
+    The singles of phi(z^(k*step) alphabet) are those at k = 1 shifted
+    by (k-1)*step, its pair sums those at k = 1 shifted by 2*(k-1)*step:
+    each part is built once and spread.
     """
-    exps = _spread(Counter(exponents), step, order)
-    exps.update(_spread(pair_sums(exponents, order), 2 * step, order))
+    letters = [step + a for a in alphabet]
+    exps = _phi(head, order)
+    exps.update(range(step, order + 1, step))
+    exps.update(_spread(Counter(letters), step, order))
+    exps.update(_spread(pair_sums(letters, order), 2 * step, order))
     return exps
 
 
@@ -206,10 +213,7 @@ class ProductSpec(tuple):
         return ProductSpec(self.factors + other.factors)
 
     def overall_gcd(self):
-        g = 0
-        for x, y, _ in self.factors:
-            g = gcd(g, gcd(x, y))
-        return g
+        return gcd(*(v for x, y, _ in self.factors for v in (x, y)))
 
 
 def _spec_exponents(spec, order):
@@ -261,20 +265,22 @@ def scp_gf(delta, order):
 def _raw_exponents(width, items, order):
     """Exponent map of the raw product form over signed positions.
 
-    items lists (position, sign) per profile entry.  The factors are the
-    boundary pairs 1/(1-z^{q-p}) for a +1 at position p before a -1 at
-    position q (the cross sums q + (width - p) above width), the phi
-    factor over the -1 positions, and for k >= 1 the phi factor over
-    width*k + p (at -1 positions) and width*k - p (at +1 positions),
-    divided by 1 - z^{width*k}.
+    items lists (position, sign) per profile entry; X holds the -1
+    positions and Y the +1 positions.  The form is
+
+        prod_{p in Y, q in X, p < q} 1/(1 - z^(q-p))
+        * phi(X) * prod_{k>=1} phi(z^(width*k) (X, -Y)) / (1 - z^(width*k)),
+
+    the boundary pairs times the complete summation formula's right-hand
+    side (_complete_exponents) at step width, with the letters of X and
+    the negated letters of Y.  The boundary pairs are the cross sums
+    q + (width - p) above width.
     """
     neg = [p for p, e in items if e == -1]
     pos = [p for p, e in items if e == 1]
+    exps = _complete_exponents(neg, neg + [-p for p in pos], width, order)
     cross = sums(neg, [width - p for p in pos], width + order)
-    exps = Counter({s - width: c for s, c in cross.items() if s > width})
-    exps.update(_phi(neg, order))
-    exps.update(range(width, order + 1, width))
-    exps.update(_phi_spread([width + p for p in neg] + [width - p for p in pos], width, order))
+    exps.update({s - width: c for s, c in cross.items() if s > width})
     return exps
 
 

@@ -50,6 +50,11 @@ def test_psi_eval_direct_substitution():
         psi_eval(params, 10**6)
 
 
+def test_log_psi_refuses_n_below_one():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        log_psi(dspp_params(parse_profile("+")), 0)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         AsymptoticParams(0.0, 0.0, 0.0, 0.5)

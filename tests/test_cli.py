@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import resource
@@ -386,6 +387,26 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "--inject-fault", "0"])
     assert exc.value.code == 2
+
+
+def test_refused_asym_and_table_inputs_print_one_error_line():
+    # deeper layers refuse these too, so the message names the check
+    for argv, message in (
+        (["asym", "--family", "scp", "--profile="], "need a profile of length >= 1"),
+        (["asym", "--family", "dspp", "--m", "1"], "--m must be >= 2"),
+        (["table", "--n", "0"], "table entries need n >= 1"),
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(argv)
+        assert code == 2 and out == "", argv
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, argv
+        assert message in err.getvalue(), argv
+
+
+def test_exp_text_carries_a_mantissa_that_rounds_to_ten():
+    # 10^(5 - 4e-15) has mantissa 9.99999999999999..., which rounds to 10
+    assert cli._exp_text(math.log(1e5) - 1e-14) == "1.000000000000e+5"
 
 
 def test_cached_parser_keeps_no_state_between_calls():

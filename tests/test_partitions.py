@@ -1,5 +1,9 @@
 import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from planeparts.partitions import (
     _live_starts,
     _number,
     _pack,
+    _partition_counts,
     _strip_step,
     _strips,
     _trace,
@@ -117,6 +122,30 @@ def test_partitions_of_matches_brute_force():
         assert [tuple(p) for p in got] == expect
     assert len(brute_partitions(5)) == 7
     assert sum(1 for p in partitions_up_to(5) if p.size == 5) == 7
+
+
+def test_partitions_of_is_its_recurrence():
+    # built smallest size first, a cold size 40 never recurses size by
+    # size: it fits in a recursion limit of 40, in a fresh child
+    child = ("import sys; from planeparts.partitions import partitions_of; "
+             "sys.setrecursionlimit(40); print(len(partitions_of(40)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == _partition_counts(40)[40]
+    partitions_of.cache_clear()
+    for n in range(31):
+        got = partitions_of(n)
+        assert len(got) == _partition_counts(n)[n], n
+        assert all(a > b for a, b in zip(got, got[1:])), n  # descending lex, so distinct
+        assert all(type(lam) is Partition and Partition(tuple(lam)) == lam and lam.size == n
+                   for lam in got), n
+
+
+def test_partitions_up_to_refuses_negative_sizes():
+    with pytest.raises(ValueError):
+        partitions_up_to(-1)
 
 
 def test_partitions_up_to_each_exactly_once():

@@ -313,6 +313,25 @@ def test_reading_rejects_cell_outside_region():
         filling_to_diagonals(cells, {(4, 1): 1}, delta)
 
 
+def test_reading_refuses_bad_values_cells_and_diagonals():
+    delta = parse_profile("+")
+    cells = region_cells(delta, 3)
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="non-integer or negative"):
+            filling_to_diagonals(cells, {(1, 1): bad}, delta)
+    with pytest.raises(ValueError, match="outside the strip"):
+        filling_to_diagonals(cells | {(1, 3)}, {}, delta)
+    # the empty profile's cells share no row or column, so only the
+    # reading itself sees values that increase along its diagonal
+    empty = parse_profile("")
+    with pytest.raises(ValueError, match="does not read as a partition"):
+        filling_to_diagonals(region_cells(empty, 3), {(1, 1): 1, (2, 2): 2}, empty)
+    with pytest.raises(ValueError, match="need 2 diagonals, got 1"):
+        diagonals_to_filling(delta, [Partition((1,))], 3)
+    with pytest.raises(ValueError, match="falls outside the window"):
+        diagonals_to_filling(delta, [Partition((1, 1, 1, 1)), Partition()], 3)
+
+
 def test_reading_interlaces_per_profile():
     from planeparts.partitions import is_horizontal_strip
 
@@ -348,3 +367,21 @@ def test_all_profiles_counts():
     assert len(all_profiles(0)) == 1
     assert len(all_profiles(3)) == 8
     assert len(profiles_up_to(3, 1)) == 14
+
+
+def test_all_profiles_order():
+    # perfbench draws profiles by index, so this order decides what every
+    # seed runs: binary counting from the first entry, bit 0 as +1
+    assert all_profiles(2) == ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    for h in range(7):
+        expect = [tuple(-1 if i >> (h - 1 - j) & 1 else 1 for j in range(h)) for i in range(2 ** h)]
+        assert list(all_profiles(h)) == expect, h
+        assert all(type(delta) is Profile for delta in all_profiles(h))
+
+
+def test_run_lengths_round_trip():
+    for delta in profiles_up_to(10):
+        a, b = run_lengths(delta)
+        assert len(a) == len(b) and a[0] >= 0 and b[-1] >= 0, delta
+        assert all(n >= 1 for n in a[1:] + b[:-1]), delta
+        assert [e for n_a, n_b in zip(a, b) for e in [1] * n_a + [-1] * n_b] == list(delta)

@@ -87,6 +87,15 @@ def test_verify_summation_defaults_and_errors():
         verify_summation("sideways", parse_profile("+"), (1,), order=6)
 
 
+def test_verifiers_refuse_zero_exponents_and_unpaired_alphabets():
+    with pytest.raises(ValueError, match="alphabet exponents must be >= 1"):
+        verify_summation("complete", parse_profile("+"), (0,))
+    with pytest.raises(ValueError, match="alphabet exponents must be >= 1"):
+        skew_schur_z((1,), (), (0,), 3)
+    with pytest.raises(ValueError, match="as many down-alphabets as up-alphabets"):
+        verify_alternating_summation("open", ((1,),), ())
+
+
 def test_cylindric_specialization_recovers_cp_weights():
     # the closed-chain sum with every diagonal carrying z passes as an
     # identity; dropping the final diagonal's weight instead (the

@@ -339,6 +339,10 @@ def test_product_spec_merge_and_gcd():
     assert ProductSpec(((2, 2, 1), (3, 1, 1))).overall_gcd() == 1
 
 
+def test_spec_without_factors_has_gcd_zero():
+    assert ProductSpec(()).overall_gcd() == 0
+
+
 def test_family_specs_match_multisets():
     spec = dspp_product_spec(parse_profile("++"))
     assert spec.factors == ((3, 1, 1), (3, 2, 1), (3, 3, 1), (6, 3, 1))
