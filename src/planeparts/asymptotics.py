@@ -230,12 +230,17 @@ def dspp_width_constant(m):
     return math.exp(_log_dspp_width_constant(m))
 
 
+def _scp_b(q, w4, w5):
+    """b of the symmetric cylindric growth shape, from q = 2h + 1 and the
+    profile's multisets w4 and w5, which scp_params reads too."""
+    total = 2 * sum(t * k for t, k in w4.residues) + sum(t * k for t, k in w5.residues)
+    return Fraction(total, 4 * q) - Fraction(w4.total_count() + w5.total_count(), 4)
+
+
 def scp_b_fraction(delta):
     """Exact rational b of the symmetric cylindric growth shape."""
     q = 2 * len(_require_width(delta)) + 1
-    w4, w5 = multiset_w4(delta), multiset_w5(delta)
-    total = 2 * sum(t * k for t, k in w4.residues) + sum(t * k for t, k in w5.residues)
-    return Fraction(total, 4 * q) - Fraction(w4.total_count() + w5.total_count(), 4)
+    return _scp_b(q, multiset_w4(delta), multiset_w5(delta))
 
 
 def scp_n_exponent_fraction(delta):
@@ -250,8 +255,8 @@ def scp_params(delta):
     m = len(delta) + 1
     q = 2 * m - 1
     r = (m * m + m + 2) * math.pi**2 / (6 * q)
-    b = scp_b_fraction(delta)
-    w4 = multiset_w4(delta)
+    w4, w5 = multiset_w4(delta), multiset_w5(delta)
+    b = _scp_b(q, w4, w5)
     w4_sum = sum(t * k for t, k in w4.residues)
     log_v = (
         -(Fraction(w4_sum, q) + Fraction(m * m - 3 * m + 2, 4)) * math.log(2)
@@ -260,7 +265,7 @@ def scp_params(delta):
     )
     for t, k in w4.residues:
         log_v += k * math.lgamma(t / q)
-    for t, k in multiset_w5(delta).residues:
+    for t, k in w5.residues:
         log_v += k * math.lgamma(t / (2 * q))
     return AsymptoticParams(log_v, r, float(b), 0.5)
 

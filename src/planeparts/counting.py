@@ -31,17 +31,21 @@ z^|lam^0|, so it counts the partitions of each size
 Two bijections let a count walk another chain: read backwards, a
 delta-chain is a reverse_negate(delta)-chain, which keeps dspp's sum
 |lam^i|; started elsewhere, a closed chain rotates delta, which keeps
-cp's cyclic sum.  count_dspp and count_cp take the orientation (2 for
-dspp, 2h for cp) with the fewest live starts, counted, not built, delta
-on a tie: dspp "+-+" at 44 has 4,508, "-+-" 3,232.  scp weighs lam^0
-once and later lam^i twice, which neither map keeps.
+cp's cyclic sum.  count_dspp walks whichever of delta and
+reverse_negate(delta) has the fewer states after its first step, the
+map every open walk starts from (partitions._first_step), counted, not
+built, delta on a tie: dspp "+-+" at 18 has 253 there, "-+-" 30, though
+"+-+" has the fewer live starts, 97 to 113; at 44, 14,809 and 508.
+count_cp traces whichever of the 2h rotations of the two has the fewest
+live starts, _trace's betas, counted the same way, the first on a tie.
+scp weighs lam^0 once and later lam^i twice, which neither map keeps.
 
 count_dspp_fillings is the one genuinely exponential oracle: it fills
 the staircase region cell by cell and exists to pin the diagonal-reading
 correspondence against the filling definition.
 """
 
-from .partitions import _live_starts, _open_walk, _partition_counts, _trace, _width
+from .partitions import _first_step, _live_starts, _open_walk, _partition_counts, _trace, _width
 from .profiles import Profile, region_cells, reverse_negate
 from .series import TruncatedSeries
 
@@ -49,11 +53,12 @@ FILLING_ORDER_BOUND = 8
 # The most bytes a counting walk may hold, estimated before it starts:
 # P(order) * (order + 1) * W/8 for the packed state vectors (W from
 # partitions._width), the only proven bound.  At the largest orders
-# accepted, a count CLI process peaks (VmHWM) far lower: dspp "++" at 46
-# (estimate 232 MB) at 17 MB, "+" at 47 (212 MB) at 18 MB, "+-+" at 45
-# (237 MB), walked as "-+-", at 19 MB, and cp "+-" at 46 (232 MB) at
-# 65 MB, its trace holding a whole size class of betas at once.  Chains
-# with no step peak at 16 MB: the empty profile at 51, cp "+" at 47.
+# accepted, a count peaks (VmHWM, in a python -S process that imports
+# counting alone) far lower: dspp "++" at 46 (estimate 232 MB) at
+# 12.5 MB, "+" at 47 (212 MB), walked as "-", at 15.3 MB, "+-+" at 45
+# (237 MB), walked as "-+-", at 15.2 MB, and cp "+-" at 46 (232 MB) at
+# 61 MB, its trace holding a whole size class of betas at once.  Chains
+# with no step peak at 12 MB: the empty profile at 51, cp "+" at 47.
 VECTOR_BUDGET = 256 << 20
 
 
@@ -85,40 +90,31 @@ def _guard(steps, order):
     return steps
 
 
-def _first_steps(word, m, closed=False):
-    """Per start r of word's chain (r = 0 alone when open), one step
-    (up, 0, m + p) with the chain's live starts: with a = 0, those read
-    only its first letter and _ahead's p, m per up letter after it up to
-    a down one or the end, a closing letter (m = 0) adding none.  One
-    backward pass over the up runs gives every start's in O(h)."""
+def _first_steps(word):
+    """Per start r of word's closed chain, one step (up, 0, 1 + p) with
+    the chain's live starts: with a = 0, those read only its first letter
+    and _ahead's p, one per up letter after it up to a down one, the
+    closing letter (m = 0) adding none.  One backward pass over the up
+    runs gives every start's in O(h)."""
     h = len(word)
-    runs, run = [0] * (h + 1), 0  # runs[i]: the up letters from word[i % h] on, cyclically when closed
-    for i in range(2 * h - 1 if closed else h - 1, -1, -1):
+    runs, run = [0] * h, 0  # runs[i]: the up letters from word[i] on, cyclically
+    for i in range(2 * h - 1, -1, -1):
         run = run + 1 if word[i % h] == 1 else 0
-        if i <= h:
-            runs[i] = run
-    return [(word[r] == 1, 0, m * (1 + min(runs[r + 1], h - 1 - closed))) for r in range(h if closed else 1)]
-
-
-def _fewest_starts(words, order, m, closed=False):
-    """The word, or when closed the rotation of one, whose chain has the
-    fewest live starts, counted, not built; the first on a tie."""
-    firsts = [(word, r, step) for word in words for r, step in enumerate(_first_steps(word, m, closed))]
-    counts = {step: _live_starts([step], order, count=True) for step in {step for _, _, step in firsts}}
-    word, r, _ = min(firsts, key=lambda first: counts[first[2]])
-    return word[r:] + word[:r]
+        runs[i % h] = run
+    return [(word[r] == 1, 0, 1 + min(runs[(r + 1) % h], h - 2)) for r in range(h)]
 
 
 def _open_chains(words, order, m):
-    """lam^0 weighted z^{|lam^0|}, walked through the one of words with
-    the fewest live starts, the first on a tie (partitions._open_walk);
-    with no step, lam^0 alone, which counts the partitions of each size.
-    Each starts at z^|lam^0| and a new state costs m*|lam| >= |lam|, so
-    no state outgrows the order, the size the walk proves its slot width
-    for, as _guard charges it."""
+    """lam^0 weighted z^{|lam^0|}, walked through the one of words whose
+    first step builds the fewest states, counted, not built, the first on
+    a tie (partitions._open_walk); with no step, lam^0 alone, which counts
+    the partitions of each size.  Each starts at z^|lam^0| and a new state
+    costs m*|lam| >= |lam|, so no state outgrows the order, the size the
+    walk proves its slot width for, as _guard charges it."""
     if not _guard(words[0], order):  # the guard charges the chain's length alone
         return TruncatedSeries(order, _partition_counts(order))
-    return TruncatedSeries(order, _open_walk(_steps(_fewest_starts(words, order, m), m), order))
+    steps = min((_steps(word, m) for word in words), key=lambda chain: _first_step(chain, order, count=True))
+    return TruncatedSeries(order, _open_walk(steps, order))
 
 
 def _closed_steps(delta):
@@ -140,8 +136,12 @@ def count_cp(delta, order):
         raise ValueError("cylindric profiles need length >= 1")
     if len(_guard(delta, order)) == 1:  # lam^0 closes with itself alone
         return TruncatedSeries(order, _partition_counts(order))
-    word = _fewest_starts((delta, reverse_negate(delta)), order, 1, closed=True)
-    return TruncatedSeries(order, _trace(_closed_steps(word), order))
+    # the rotation of delta or of reverse_negate(delta) whose chain has the
+    # fewest live starts, counted, not built; the first on a tie
+    firsts = [(word, r, step) for word in (delta, reverse_negate(delta)) for r, step in enumerate(_first_steps(word))]
+    counts = {step: _live_starts([step], order, count=True) for step in {step for _, _, step in firsts}}
+    word, r, _ = min(firsts, key=lambda first: counts[first[2]])
+    return TruncatedSeries(order, _trace(_closed_steps(word[r:] + word[:r]), order))
 
 
 def count_scp(delta, order):

@@ -38,9 +38,12 @@ target size, so they walk together, one transfer per size class with
 one map per start, and each map closes against its own start.
 _live_starts reads off the first step's window, with the lookahead's
 charge, the starts that step can move at all, or counts them: _trace's
-betas, and the counting oracles' open starts.  _open_walk sums an open
-counting chain's first step and end states in closed form, with no
-partner table: interlacing is a box condition (_box).  The counting
+betas, and the count by which count_cp ranks its rotations.  _open_walk
+starts every open counting chain from the states its first step makes
+from those starts, in closed form (_first_step), and sums its end states
+in closed form, with no partner table at either end: interlacing is a
+box condition (_box).  _first_step also counts its states without
+making them, which ranks an open count's orientations.  The counting
 oracles and both sides of every skew Schur identity only say which steps
 their chains take, with partitions going in and lists coming out; ids
 never leave this module.
@@ -233,11 +236,12 @@ def _grow(mu, up, least, hi):
 
 
 @lru_cache(maxsize=None)
-def _partition_counts(n):
+def _partition_counts(n, x=1, y=1):
     """p(0), ..., p(n), the numbers of partitions of each size (built up
-    part size by part size)."""
+    part size by part size); with x and y, the partitions counted by
+    weight 0..n, each part v weighing y(v - 1) + x >= 1."""
     p = [1] + [0] * n
-    for part in range(1, n + 1):
+    for part in range(x, n + 1, y):
         for k in range(part, n + 1):
             p[k] += p[k - part]
     return tuple(p)
@@ -423,14 +427,16 @@ def _strip_step(dists, up, order, a, m, width, ahead=(0, None, None), goal=None)
 def _window(order, x, y, count=False):
     """The lam = (k,) + nu, k >= nu_1, with x*k + y*|nu| <= order (1 <= x
     <= y) as a map lam -> |lam|, or their count, building none; with x ==
-    y, partitions_of's own objects, else per nu a range of k, and ()."""
+    y, partitions_of's own objects, else per nu a range of k, and ().
+    The count reads lam's conjugate, whose parts v weigh y(v - 1) + x
+    each, from _partition_counts."""
+    if count:
+        return sum(_partition_counts(order, x, y))
     top = order // y
     if x == y:
-        return sum(_partition_counts(top)) if count else {lam: s for s in range(top + 1) for lam in partitions_of(s)}
+        return {lam: s for s in range(top + 1) for lam in partitions_of(s)}
     heads = ((nu, s, range(nu[0] if nu else 1, (order - y * s) // x + 1))
              for s in range(top + 1) for nu in partitions_of(s))
-    if count:
-        return 1 + sum(len(ks) for _, _, ks in heads)
     return {(): 0, **{(k,) + nu: k + s for nu, s, ks in heads for k in ks}}
 
 
@@ -441,9 +447,10 @@ def _live_starts(steps, order, count=False):
     move to lam' weighs a*|strip| + c*|lam'| at the least, c = m + p.  Up,
     and down when a >= c, the cheapest move keeps lam: (c+1)|lam| <=
     order.  Down with a < c it drops lam's first row: lam = (k,) + nu with
-    (a+1)k + (c+1)|nu| <= order (_window).  An open chain's closed-form
-    first step reads this window with up and down swapped (_first_step),
-    and its end sum, when it has one step, these starts (_open_walk)."""
+    (a+1)k + (c+1)|nu| <= order (_window).  _trace starts from these
+    betas, and count_cp ranks its rotations by their count; an open
+    chain's first step reads this window with up and down swapped
+    (_first_step), and ranks by its own count."""
     (up, a, _), c = steps[0], steps[0][2] + _ahead(steps)[0][0]
     return _window(order, c + 1 if up else min(a, c) + 1, c + 1, count)
 
@@ -472,13 +479,19 @@ def _box(lam, up, q, order, width, geos):
     return v << q * low * width
 
 
-def _first_step(steps, order, width):
+def _first_step(steps, order, width=None, count=False):
     """The map one _strip_step makes from every live start mu at z^|mu|,
-    for an open chain's first step (up, 0, m): mu moves to lam when |mu| +
-    c|lam| <= order, c = m + p, so lam gets z^(m|lam|) * _box(lam, not up,
-    1) read to order - c|lam|, over _live_starts' window, up and down swapped."""
+    for an open chain's first step (up, 0, m), or with count the number
+    of its states, building none: mu moves to lam when |mu| + c|lam| <=
+    order, c = m + p, so lam gets z^(m|lam|) * _box(lam, not up, 1) read
+    to order - c|lam|, over _live_starts' window, up and down swapped.
+    The count ranks an open count's orientations: dspp "+-+" at 18 builds
+    253 states here, "-+-" 30, though "+-+" has 97 live starts to 113."""
     (up, _, m), c = steps[0], steps[0][2] + _ahead(steps)[0][0]
-    window, geos = _window(order, c if up else c + 1, c + 1), _geos(1, order, width)
+    window = _window(order, c if up else c + 1, c + 1, count)
+    if count:
+        return window
+    geos = _geos(1, order, width)
     return {i: _box(lam, not up, 1, order - c * s, width, geos) << m * s * width
             for i, lam, s in zip(_number(window), window, window.values())}
 
@@ -486,19 +499,20 @@ def _first_step(steps, order, width):
 def _open_walk(steps, order):
     """_walk's sum over the end states from every live start mu at z^|mu|
     when every step has a = 0, with no partner table at either end: the
-    first step is _first_step's, and the last, (up, 0, m), adds v *
-    _box(mu, up, m) over the states mu before it."""
+    walk starts from _first_step's map, which a chain of one step sums
+    (scp "-" at 47: 684 states, against 4,433 live starts); a longer one
+    takes the steps between as _strip_steps, and its last, (up, 0, m),
+    adds v * _box(mu, up, m) over the states mu before it."""
     width = _width(order, len(steps))
-    *body, (up, _, m) = steps
-    if body:
-        dists = [_first_step(steps, order, width)]
-        for (b_up, a, b_m), ahead in zip(body[1:], _ahead(steps)[1:]):
-            dists = _strip_step(dists, b_up, order, a, b_m, width, ahead)
-        ends = [(_parts[i], v) for i, v in dists[0].items()]
+    dists = [_first_step(steps, order, width)]
+    for (up, a, m), ahead in zip(steps[1:-1], _ahead(steps)[1:-1]):
+        dists = _strip_step(dists, up, order, a, m, width, ahead)
+    if len(steps) == 1:
+        total = sum(dists[0].values())
     else:
-        ends = [(mu, 1 << s * width) for mu, s in _live_starts(steps, order).items()]
-    geos = _geos(m, order, width)
-    total = sum(v * _box(mu, up, m, order - ((v & -v).bit_length() - 1) // width, width, geos) for mu, v in ends)
+        (up, _, m), geos = steps[-1], _geos(steps[-1][2], order, width)
+        total = sum(v * _box(_parts[i], up, m, order - ((v & -v).bit_length() - 1) // width, width, geos)
+                    for i, v in dists[0].items())
     return _unpack(total & (1 << (order + 1) * width) - 1, width, order)
 
 

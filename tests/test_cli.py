@@ -4,7 +4,9 @@ import json
 import math
 import os
 import random
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from planeparts import cli, counting
+from planeparts import cli, counting, schur
 from planeparts.cli import main
 from planeparts.series import classical_gf
 
@@ -265,6 +267,18 @@ def test_verify_refuses_an_oversized_battery_under_a_memory_limit():
     assert proc.stderr.startswith("error: max_len 30 lists more than the 100000 identity checks")
 
 
+def test_verify_refuses_an_order_past_its_bound_under_a_memory_limit():
+    # order 60 would outgrow memory long before it finished: it is
+    # refused as bad input before any case runs; the bound, 31, and the
+    # orders below it list their cases
+    proc, wall = run_limited(["verify", "--max-len", "0", "--order", "60"])
+    assert wall < 1 and proc.returncode == 2 and proc.stdout == "", (wall, proc.returncode)
+    assert proc.stderr == "error: order 60 is past the largest order the battery allows, 31\n"
+    assert schur.battery_cases(0, 24) and schur.battery_cases(0, 31)
+    with pytest.raises(ValueError, match="order 32 is past"):
+        schur.battery_cases(0, 32)
+
+
 def test_stepless_counts_run_to_their_guard_under_a_memory_limit():
     # a chain with no step counts the partitions of each size instead of
     # walking: the empty profile runs through order 51 and cp of length 1
@@ -463,3 +477,84 @@ def test_memory_error_is_internal_error_without_traceback(monkeypatch):
     assert code == 3 and out == ""
     assert err.getvalue() == "internal error: out of memory\n"
     assert alive and not any(alive)
+
+
+# The values the fuzzer draws, per flag: good ones, then bad ones of
+# every kind.  Sizes are capped where no refusal comes first: large gf
+# orders, and table entries within the float range, run long, verify
+# takes seconds from about order 20, and asym --m builds a profile of
+# m - 1 letters, so a 13-digit one ends in exit 3.  count and verify
+# take huge orders too, which are refused at once.
+BAD_VALUES = ("", "-1", "2.5", "1e400", "seven")
+HUGE = "12345678901234567890"
+PROFILES = (("", "+", "-", "+-", "--", "-+-", "++-+", "-1,1"), ("+,", "+x", "1,2", " "))
+FORMATS = (("json", "csv", "text"), ("xml", ""))
+GRAMMAR = {
+    "gf": {"--family": (cli.GF_FAMILIES, ("bogus",)), "--profile": PROFILES,
+           "--order": (("0", "3", "9", "40"), BAD_VALUES), "--format": FORMATS},
+    "count": {"--family": (cli.COUNT_FAMILIES, ("pp",)), "--profile": PROFILES,
+              "--order": (("0", "3", "7", "60", HUGE), BAD_VALUES), "--format": FORMATS},
+    "asym": {"--family": (cli.ASYM_FAMILIES, ("cp",)), "--profile": PROFILES,
+             "--m": (("2", "3", "84"), ("0", "1", "-2") + BAD_VALUES),
+             "--n": (("5", "100000", HUGE), ("0",) + BAD_VALUES)},
+    "verify": {"--max-len": (("0", "1"), ("8", HUGE) + BAD_VALUES),
+               "--order": (("0", "2", "4", "60", HUGE), BAD_VALUES)},
+    "table": {"--n": (("5", "12", HUGE), ("0",) + BAD_VALUES), "--format": FORMATS},
+}
+
+
+def fuzzed_argv(rng):
+    """One argv from the CLI's grammar: a subcommand, or a bad one, and
+    its flags in a random order, most once, some twice or left out, each
+    value good or bad; now and then a token is dropped or --help added."""
+    sub = rng.choice(tuple(GRAMMAR) + ("bogus",))
+    argv = [sub]
+    flags = list(GRAMMAR.get(sub, {}).items())
+    rng.shuffle(flags)
+    for flag, (good, bad) in flags:
+        for _ in range(rng.choice((0, 1, 1, 1, 1, 1, 1, 2))):
+            values = [rng.choice(good if rng.random() < 0.85 else bad) for _ in range(rng.randint(1, 2))]
+            # --n takes a list; a value starting with '-' needs the = form
+            argv += [flag] + values if flag == "--n" else [flag + "=" + values[0]]
+    if rng.random() < 0.05:
+        argv.pop()
+    if rng.random() < 0.02:
+        argv.insert(rng.randint(0, len(argv)), "--help")
+    return argv
+
+
+def test_fuzzed_argv_keep_the_exit_code_contract():
+    # every argv ends in 0, 1 or 2, never 3; nothing prints a traceback,
+    # and a refused input prints nothing on stdout
+    rng = random.Random(29)
+    codes = set()
+    for _ in range(600):
+        argv = fuzzed_argv(rng)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        codes.add(code)
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+        assert code != 2 or out.getvalue() == "", argv
+    assert codes == {0, 2}
+
+
+def test_readme_command_examples_run():
+    # each `planeparts ...` line of README's sh blocks exits 0 through
+    # cli.main, and a comment that lists coefficients is its output
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("planeparts ")]
+    compared = 0
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, out = run_cli(shlex.split(command)[1:])
+        assert code == 0, line
+        if re.fullmatch(r"[0-9,]+", comment.strip()):
+            assert out == comment.strip() + "\n", line
+            compared += 1
+    assert len(lines) >= 7 and compared >= 1

@@ -14,10 +14,15 @@ from planeparts.counting import (
     count_scp,
 )
 from planeparts.partitions import (
+    _ahead,
+    _first_step,
     _live_starts,
+    _number,
     _partition_counts,
+    _strip_step,
     _trace,
     _walk,
+    _width,
     is_horizontal_strip,
     partitions_of,
     partitions_up_to,
@@ -154,14 +159,20 @@ def test_every_orientation_counts_alike():
         assert walks[0] == walks[1], delta
         traces = [_trace(counting._closed_steps(word), order) for word in rotations(delta)]
         assert traces == [traces[0]] * len(traces), delta
-    # the choice ranks each chain by one first step, which must have the
-    # chain's own live starts
+    # an open count ranks each chain by the states its first step builds,
+    # counted: as many as one walked strip step from the live starts makes
     for delta in profiles_up_to(6, 1):
         for m in (1, 2):
-            first = counting._first_steps(delta, m)
-            assert _live_starts(first, order) == _live_starts(counting._steps(delta, m), order), (delta, m)
+            steps = counting._steps(delta, m)
+            width = _width(order, len(steps))
+            starts = _live_starts(steps, order)
+            dist = {i: 1 << s * width for i, s in zip(_number(starts), starts.values())}
+            walked = _strip_step([dist], steps[0][0], order, 0, m, width, _ahead(steps)[0])[0]
+            assert _first_step(steps, order, count=True) == len(walked), (delta, m)
+        # cp ranks each rotation by one first step, which must have the
+        # chain's own live starts
         if len(delta) >= 2:
-            firsts = counting._first_steps(delta, 1, closed=True)
+            firsts = counting._first_steps(delta)
             for r, step in enumerate(firsts):
                 chain = counting._closed_steps(delta[r:] + delta[:r])
                 assert _live_starts([step], order) == _live_starts(chain, order), (delta, r)
@@ -179,15 +190,23 @@ def spy(monkeypatch, name):
     return calls
 
 
-def test_counts_take_the_orientation_with_the_fewest_live_starts(monkeypatch):
+def test_counts_take_the_orientation_whose_first_step_builds_fewest_states(monkeypatch):
     walks, traces = spy(monkeypatch, "_open_walk"), spy(monkeypatch, "_trace")
-    # "+-+" starts up with p = 0, "-+-" down with p = 1: 684 starts against 631 at 30
-    count_dspp(parse_profile("+-+"), 30)
-    assert walks == [counting._steps(parse_profile("-+-"), 1)]
+    # "+-+" starts up with p = 0, "-+-" down with p = 1: their first steps
+    # build 253 states against 30 at 18, and 762 against 67 at 24, though
+    # "+-+" has the fewer live starts there, 97 against 113 and 272
+    # against 281
+    plus, minus = counting._steps(parse_profile("+-+"), 1), counting._steps(parse_profile("-+-"), 1)
+    assert [_first_step(plus, 18, count=True), _first_step(minus, 18, count=True)] == [253, 30]
+    assert [_live_starts(plus, 18, count=True), _live_starts(minus, 18, count=True)] == [97, 113]
+    for order in (18, 24, 30):
+        walks.clear()
+        count_dspp(parse_profile("+-+"), order)
+        assert walks == [minus], order
     # ties go to delta itself; "+--+-" and its reverse_negate "+-++-" both
-    # start up with p = 0, and "+---+" (up, p = 0) has 12 starts at 8 as
-    # "-+++-" (down, p = 3) has
-    for text, order in (("+-", 30), ("+--+-", 30), ("+---+", 8)):
+    # start up with p = 0, and at 5 "++" (up, p = 1) and "--" (down,
+    # p = 0) both build 4 states
+    for text, order in (("+-", 30), ("+--+-", 30), ("++", 5), ("--", 5)):
         walks.clear()
         count_dspp(parse_profile(text), order)
         assert walks == [counting._steps(parse_profile(text), 1)], text

@@ -703,6 +703,18 @@ def test_first_step_is_one_strip_step_from_the_live_starts():
             i: _unpack(v, width, order) for i, v in walked.items()}, (order, steps)
 
 
+def test_first_step_count_equals_the_map():
+    # the count that ranks an open count's orientations builds no state,
+    # and equals the size of the map _first_step builds, for random chains
+    # with a = 0 and m in {1, 2}, as the counting oracles take them
+    rng = random.Random(29)
+    for _ in range(300):
+        order = rng.randrange(31)
+        steps = [(rng.random() < 0.5, 0, rng.choice((1, 2))) for _ in range(rng.randint(1, 5))]
+        built = partitions._first_step(steps, order, _width(order, len(steps)))
+        assert partitions._first_step(steps, order, count=True) == len(built), (order, steps)
+
+
 def test_open_walks_equal_the_walked_reads():
     # random open chains with a = 0, as the counting oracles take them:
     # the closed-form ends read what _walk reads from the live starts
